@@ -1,11 +1,8 @@
 /// \file bench_alltoall_scale.cpp
-/// Single-World alltoall at large rank counts: the intra-World
-/// scaling / memory-footprint probe behind ROADMAP item 1.
-///
-/// Unlike the fig 8-11 sweep (many independent Worlds across host
-/// cores), every point here is ONE World, so `--world-threads=N` is
-/// the only parallelism in play and the simulated results must be
-/// byte-identical at any N (the determinism_smoke_worldthreads gate).
+/// Single-World alltoall at large rank counts: the per-World scaling
+/// and memory-footprint probe.  Unlike the fig 8-11 sweep (many
+/// independent Worlds across host cores), every point here is ONE
+/// World running serially on one host thread.
 ///
 /// Extra flags (handled here, before BenchOptions):
 ///   --ranks=A,B,..  rank counts to run (default by --quick/--full)
@@ -98,7 +95,7 @@ int main(int argc, char** argv) {
 
   const auto opt = BenchOptions::parse(
       static_cast<int>(rest.size()), rest.data(),
-      "Single-World alltoall scaling probe (intra-World threads + "
+      "Single-World alltoall scaling probe (per-World event cost + "
       "memory footprint)");
   obsv::arm_cli(opt);
 

@@ -22,16 +22,7 @@ benches (ISSUE: profiling layer must be free when off).
 The file also carries a "sweep-wallclock" series (--sweep): wall-clock
 of the figs 8-11 sweep bench at --jobs=1 vs --jobs=N (the parallel
 sweep runner), appended per run so the serial/parallel ratio is
-tracked over PRs alongside the events/sec metrics.  A sibling
-"worldthreads-wallclock" series (--world-threads / --worldthreads)
-does the same for the intra-World parallel path — event lanes plus
-the rate pool (bench_alltoall_scale AND the CAM proxy at
---world-threads=1 vs N, which also flips --world-lanes via its
-follow-the-threads default); host_cores is recorded with each entry
-so a sub-1x number on a single-core box reads as what it is.  With
---check the series gates: on a multi-core host the threaded run must
-not be slower than serial beyond WT_MIN_SPEEDUP; on any host the
-lane/pool machinery must not blow past WT_MAX_OVERHEAD x serial.
+tracked over PRs alongside the events/sec metrics.
 
 --rss measures the per-rank memory footprint of one World: it runs
 bench_alltoall_scale --build-only --rss once per rank count (a fresh
@@ -86,10 +77,6 @@ Modes:
   --sweep          time build/bench/bench_fig08_11_global (--quick by
                    default, SWEEP_ARGS to override) at --jobs=1 and
                    --jobs=N and append to the "sweep-wallclock" series
-  --world-threads  time each WT_BENCHES entry (alltoall scale + the CAM
-                   proxy) at --world-threads=1 vs N (lanes follow) and
-                   append to the "worldthreads-wallclock" series; with
-                   --check, gate the speedup/overhead
   --rss            record World bytes/rank at RSS_COUNTS rank counts;
                    with --check, enforce the drop/regression gates
   --io             record bench_ior/bench_checkpoint wall-clock plain
@@ -146,19 +133,6 @@ SWEEP_BENCH = "bench_fig08_11_global"
 SWEEP_ARGS = ["--quick"]
 SWEEP_HISTORY = 50  # entries kept in the wallclock series
 
-WT_BENCHES = [
-    ("bench_alltoall_scale", ["--ranks=512"]),
-    ("bench_fig14_16_cam", ["--quick", "--jobs=1"]),  # the CAM proxy
-]
-WT_THREADS = 8
-# --check bounds for the worldthreads series.  With real cores the
-# threaded run must at least roughly hold serial speed (windowed
-# lane execution has overhead; it must not be a collapse).  On a
-# single-core host a slowdown is the honest expectation — only gate
-# that the machinery's overhead stays bounded.
-WT_MIN_SPEEDUP = 0.8    # host_cores >= WT_THREADS only
-WT_MAX_OVERHEAD = 30.0  # any host: wtN_s <= this x wt1_s
-
 RSS_BENCH = "bench_alltoall_scale"
 RSS_COUNTS = [65536, 262144]
 RSS_DROP = 0.30      # --check: required drop of current vs baseline
@@ -211,63 +185,6 @@ def run_sweep_wallclock(build_dir, label):
         "jobsN_s": round(parallel, 4),
         "speedup": round(serial / parallel, 3) if parallel > 0 else None,
     }
-
-
-def run_worldthreads_wallclock(build_dir, label):
-    """Time each WT_BENCHES driver serial vs intra-World threaded.
-
-    --world-threads=N also realizes N event lanes (the --world-lanes
-    default follows the thread count), so wt1 vs wtN is the full
-    lanes-off vs lanes+pool comparison.  Unlike --jobs (independent
-    Worlds pinned to host cores), this axis only pays off with real
-    cores to run the lanes across; host_cores in each entry keeps a
-    sub-1x reading honest on single-core boxes.
-    """
-    entries = []
-    for bench, bench_args in WT_BENCHES:
-        binary = os.path.join(build_dir, "bench", bench)
-        if not os.path.exists(binary):
-            sys.exit(f"bench not found: {binary} (build {bench})")
-        serial = time_bench([binary, "--world-threads=1"] + bench_args)
-        threaded = time_bench(
-            [binary, f"--world-threads={WT_THREADS}"] + bench_args)
-        entries.append({
-            "label": label,
-            "bench": bench,
-            "args": bench_args,
-            "host_cores": os.cpu_count() or 1,
-            "world_threads": WT_THREADS,
-            "world_lanes": WT_THREADS,  # follow-the-threads default
-            "wt1_s": round(serial, 4),
-            "wtN_s": round(threaded, 4),
-            "speedup": round(serial / threaded, 3) if threaded > 0 else None,
-        })
-    return entries
-
-
-def check_worldthreads(entries):
-    """--check gate for the worldthreads series; exits 1 on regression."""
-    bad = []
-    for e in entries:
-        if e["wtN_s"] > WT_MAX_OVERHEAD * e["wt1_s"]:
-            bad.append(f"{e['bench']}: world-threads={e['world_threads']} "
-                       f"run {e['wtN_s']:.2f}s > {WT_MAX_OVERHEAD}x serial "
-                       f"{e['wt1_s']:.2f}s — lane/pool overhead blew up")
-        if e["host_cores"] >= e["world_threads"] \
-                and e["speedup"] is not None \
-                and e["speedup"] < WT_MIN_SPEEDUP:
-            bad.append(f"{e['bench']}: speedup {e['speedup']}x < "
-                       f"{WT_MIN_SPEEDUP}x on {e['host_cores']} cores")
-    if bad:
-        for msg in bad:
-            print("REGRESSION:", msg, file=sys.stderr)
-        sys.exit(1)
-    cores = entries[0]["host_cores"] if entries else 0
-    mode = ("speedup >= %s" % WT_MIN_SPEEDUP
-            if cores >= WT_THREADS
-            else "overhead <= %sx (single-core host)" % WT_MAX_OVERHEAD)
-    print(f"check ok: {len(entries)} worldthreads entries within "
-          f"bounds ({mode})")
 
 
 def measure_rss(build_dir):
@@ -508,7 +425,6 @@ def run_host_profile(repo_root, build_dir, args):
         "args": HOSTPROF_ARGS,
         "wall_s": breakdown["wall_s"],
         "subsystems": breakdown["subsystems"],
-        "pool": breakdown["pool"],
     }
 
     tracked = os.path.join(repo_root, "results", "BENCH_simcore.json")
@@ -558,11 +474,6 @@ def main():
     ap.add_argument("--smoke", action="store_true")
     ap.add_argument("--sweep", action="store_true",
                     help="append a sweep-wallclock entry (jobs=1 vs jobs=N)")
-    ap.add_argument("--world-threads", "--worldthreads", action="store_true",
-                    dest="wt",
-                    help="append worldthreads-wallclock entries "
-                         "(world-threads=1 vs N, lanes follow; alltoall "
-                         "scale + CAM proxy)")
     ap.add_argument("--rss", action="store_true",
                     help="record World bytes/rank at 64k and 256k ranks; "
                          "with --check, gate the memory-diet drop")
@@ -602,39 +513,23 @@ def main():
         run_host_profile(repo_root, build_dir, args)
         return
 
-    if args.sweep or args.wt:
+    if args.sweep:
         tracked = os.path.join(repo_root, "results", "BENCH_simcore.json")
-        label = args.label or git_label(repo_root)
-        if args.sweep:
-            series_key = "sweep-wallclock"
-            entries = [run_sweep_wallclock(build_dir, label)]
-        else:
-            series_key = "worldthreads-wallclock"
-            entries = run_worldthreads_wallclock(build_dir, label)
+        entry = run_sweep_wallclock(build_dir,
+                                    args.label or git_label(repo_root))
         doc = {"schema": 1}
         if os.path.exists(tracked):
             with open(tracked) as f:
                 doc = json.load(f)
-        series = doc.setdefault(series_key, [])
-        series.extend(entries)
+        series = doc.setdefault("sweep-wallclock", [])
+        series.append(entry)
         del series[:-SWEEP_HISTORY]
         write_json_atomic(tracked, doc)
-        for entry in entries:
-            if args.sweep:
-                summary = (f"jobs=1 {entry['jobs1_s']:.2f}s, "
-                           f"jobs={entry['host_cores']} "
-                           f"{entry['jobsN_s']:.2f}s")
-            else:
-                summary = (f"world-threads=1 {entry['wt1_s']:.2f}s, "
-                           f"world-threads={entry['world_threads']} "
-                           f"{entry['wtN_s']:.2f}s on "
-                           f"{entry['host_cores']} core(s)")
-            print(f"{series_key}: {entry['bench']} "
-                  f"{' '.join(entry['args'])}: {summary} "
-                  f"({entry['speedup']}x)")
+        print(f"sweep-wallclock: {entry['bench']} "
+              f"{' '.join(entry['args'])}: jobs=1 {entry['jobs1_s']:.2f}s, "
+              f"jobs={entry['host_cores']} {entry['jobsN_s']:.2f}s "
+              f"({entry['speedup']}x)")
         print(f"wrote {os.path.relpath(tracked, repo_root)}")
-        if args.check and args.wt:
-            check_worldthreads(entries)
         return
 
     binary = os.path.join(build_dir, "bench", "bench_simulator_native")

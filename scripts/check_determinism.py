@@ -13,21 +13,10 @@ varied axis, and requires:
 
 Three axes, selected with --vary:
 
-  --vary jobs           (default) --jobs=1 vs --jobs=N: the PR 4 sweep
+  --vary jobs           (default) --jobs=1 vs --jobs=N: the sweep
                         parallelism — independent Worlds on host cores.
-  --vary world-threads  --world-threads=1 vs --world-threads=N: the
-                        intra-World parallel path — N realized event
-                        lanes (the --world-lanes default follows the
-                        thread count) plus the rate pool.  The varied
-                        runs also pass --par-grain=1 so the pool
-                        engages even on CI-sized worlds.
-  --vary world-lanes    --world-lanes=1 vs --world-lanes=N with the
-                        thread count left at 1: isolates the windowed
-                        lane scheduler (drain / serial merge / refill)
-                        from the pool — lane order must never leak
-                        into a simulated byte.
   --vary heartbeat      off vs --heartbeat=0.02 --telemetry=<tmp>: the
-                        PR 7 runtime telemetry layer, which promises to
+                        runtime telemetry layer, which promises to
                         stay strictly out-of-band — arming it must not
                         change a single simulated byte.
   --vary cache          three runs — cache off, cold (fresh
@@ -45,7 +34,6 @@ in every mode: both report host facts, not simulation outputs.
 
 Usage:
   check_determinism.py --run <bench> [bench args...]
-  check_determinism.py --run <bench> --vary world-threads -- --quick
   check_determinism.py --run <bench> --vary heartbeat -- --quick
   check_determinism.py --run <bench> --jobs-parallel 4 -- --quick
 """
@@ -179,10 +167,9 @@ def main(argv):
             parallel_n = int(rest[1])
         else:
             vary = rest[1]
-            if vary not in ("jobs", "world-threads", "world-lanes",
-                            "heartbeat", "cache"):
-                fail(f"--vary must be 'jobs', 'world-threads', "
-                     f"'world-lanes', 'heartbeat' or 'cache', got {vary}")
+            if vary not in ("jobs", "heartbeat", "cache"):
+                fail(f"--vary must be 'jobs', 'heartbeat' or 'cache', "
+                     f"got {vary}")
         rest = rest[2:]
     if rest and rest[0] == "--":
         rest = rest[1:]
@@ -194,16 +181,6 @@ def main(argv):
         if vary == "jobs":
             serial_flags = ["--jobs=1"]
             parallel_flags = [f"--jobs={parallel_n}"]
-        elif vary == "world-threads":
-            # --par-grain=1 on both sides: flag sets must differ only in
-            # the varied axis, and grain never changes simulated results.
-            serial_flags = ["--world-threads=1", "--par-grain=1"]
-            parallel_flags = [f"--world-threads={parallel_n}",
-                              "--par-grain=1"]
-        elif vary == "world-lanes":
-            serial_flags = ["--world-lanes=1", "--par-grain=1"]
-            parallel_flags = [f"--world-lanes={parallel_n}",
-                              "--par-grain=1"]
         else:  # heartbeat: telemetry off vs armed, fast beat to a tmp file
             serial_flags = []
             parallel_flags = ["--heartbeat=0.02",

@@ -6,27 +6,19 @@
 # label:
 #   - test_runner_sweep: the parallel sweep runner (worker pools,
 #     concurrent shard recording, the absorb merge);
-#   - test_parallel: the ParallelPool fork-join protocol itself;
-#   - test_network_parallel: the intra-World parallel rate path,
-#     asserting byte-equality with the serial engine while threaded;
 #   - test_obsv_telemetry: the sharded HostProfile accumulators
 #     (fold-while-timing) and the telemetry sampler thread against a
 #     running World;
 #   - test_lustre: the Lustre model's detached chunk fan-out, bounded
 #     OST queue grants, and IoSummary recording through the shard
 #     absorb path (sweep workers run whole filesystems concurrently);
-#   - test_lane_engine: the windowed event-lane scheduler (parallel
-#     drain/refill on the pool, serial merge), asserting bitwise
-#     serial-vs-lane equality;
-#   - test_vmpi_lanes: event lanes + pool inside a real World (flow
-#     completion routing, cross-lane mailboxes, lookahead horizon);
 #   - test_cache: the scenario-result store (memo map + on-disk
 #     entries) and the warm-start placement-shape cache, both hit
 #     concurrently by sweep worker threads.
 # Any data race aborts the run (TSAN_OPTIONS halt_on_error), failing
-# the gate.  (The jobs=1-vs-jobs=8 and world-threads=1-vs-8 bench
-# determinism ctests stay in the regular build: two full bench runs
-# per test are too slow under TSan's ~10x slowdown.)
+# the gate.  (The jobs=1-vs-jobs=8 bench determinism ctests stay in
+# the regular build: two full bench runs per test are too slow under
+# TSan's ~10x slowdown.)
 #
 # Usage: scripts/check_threads.sh [build-dir]   # default: build-tsan
 set -euo pipefail
@@ -34,9 +26,7 @@ build="${1:-build-tsan}"
 
 cmake -B "$build" -S . -DXTSIM_SAN=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build" -j"$(nproc)" \
-  --target test_runner_sweep test_parallel test_network_parallel \
-  test_obsv_telemetry test_lustre test_lane_engine test_vmpi_lanes \
-  test_cache
+  --target test_runner_sweep test_obsv_telemetry test_lustre test_cache
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" -L tsan_smoke \
   --output-on-failure
 echo "check_threads: OK: tsan_smoke suite clean under ThreadSanitizer"

@@ -211,9 +211,8 @@ def check_profile(path):
 
 HEARTBEAT_KEYS = {"kind", "seq", "wall_s", "sim_s", "events",
                   "events_per_s", "sim_rate", "queue_depth", "flows",
-                  "pool_util", "rss_bytes"}
-SUBSYSTEMS = {"engine", "net.rates", "obsv.export", "telemetry",
-              "lanes.drain", "lanes.refill", "other"}
+                  "rss_bytes"}
+SUBSYSTEMS = {"engine", "net.rates", "obsv.export", "telemetry", "other"}
 
 
 def check_telemetry(path):
@@ -257,9 +256,6 @@ def check_telemetry(path):
                   "rss_bytes"):
             if b[k] < 0:
                 fail("heartbeat %r: %s is negative" % (b["seq"], k))
-        if not 0.0 <= b["pool_util"] <= 1.0:
-            fail("heartbeat %r: pool_util %r out of [0,1]"
-                 % (b["seq"], b["pool_util"]))
         prev_wall, prev_events = b["wall_s"], b["events"]
     if not beats[-1].get("final"):
         fail("last heartbeat is not marked final")
@@ -276,37 +272,18 @@ def check_telemetry(path):
         if v["s"] < 0 or v["share"] < 0:
             fail("breakdown %s negative: %r" % (name, v))
         share_sum += v["share"]
-    # Tracked + derived-other shares tile the wall on a single main
-    # lane; overlapping lanes (sampler, pool workers) can only push the
+    # Tracked + derived-other shares tile the wall on one thread;
+    # overlapping threads (sampler, sweep workers) can only push the
     # sum *up*, so the check is one-sided-tight below, loose above.
     if not 0.98 <= share_sum <= 1.5:
         fail("breakdown shares sum to %.6g, expected ~1" % share_sum)
-    pool = bd.get("pool")
-    if (not isinstance(pool, dict) or pool["work_s"] < 0
-            or pool["idle_s"] < 0):
-        fail("breakdown pool section malformed: %r" % pool)
     host = bd.get("host")
     if not isinstance(host, dict) or host.get("peak_rss_bytes", 0) <= 0:
         fail("breakdown host section malformed: %r" % host)
-    # Event-lane block: present even when lane mode never engaged
-    # (windows=0, lanes=[]); executed counts must add up to no more
-    # than scheduled and every per-lane figure is non-negative.
-    elanes = bd.get("event_lanes")
-    if not isinstance(elanes, dict) or elanes.get("windows", -1) < 0 \
-            or not isinstance(elanes.get("lanes"), list):
-        fail("breakdown event_lanes section malformed: %r" % elanes)
-    for i, lane in enumerate(elanes["lanes"]):
-        for k in ("scheduled", "executed", "deferred", "drain_s",
-                  "refill_s"):
-            if lane.get(k, -1) < 0:
-                fail("event_lanes[%d]: %s is negative: %r" % (i, k, lane))
-        if lane["executed"] > lane["scheduled"]:
-            fail("event_lanes[%d]: executed %d > scheduled %d"
-                 % (i, lane["executed"], lane["scheduled"]))
 
     print("check_trace: OK: telemetry stream with %d heartbeat(s), "
-          "breakdown shares sum %.4g over %.4g s wall, %d event lane(s)"
-          % (len(beats), share_sum, bd["wall_s"], len(elanes["lanes"])))
+          "breakdown shares sum %.4g over %.4g s wall"
+          % (len(beats), share_sum, bd["wall_s"]))
 
 
 def sniff_telemetry(path):

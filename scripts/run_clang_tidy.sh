@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # clang-tidy over the hot layers (src/core, src/network, src/vmpi,
 # src/obsv — including the profiling/attribution sources profile.cpp
-# and attrib.cpp, the telemetry layer hostprof.cpp and telemetry.cpp,
-# and the event-lane scheduler engine.cpp/lanes.cpp plus the torus
-# slab map lane_partition.cpp — and src/lustre, whose chunk coroutines
+# and attrib.cpp, and the telemetry layer hostprof.cpp and
+# telemetry.cpp — and src/lustre, whose chunk coroutines
 # ride the same engine hot path, and src/cache, whose fingerprint/store
 # sit on the sweep probe path, all picked up by the glob below) with
 # the repo's .clang-tidy profile (performance-*, bugprone-*).

@@ -12,9 +12,8 @@
 ///    `add("b",2).add("a",1)` produce the same key.  Callers can build
 ///    keys from config structs in whatever order is natural.
 ///  - **Execution-irrelevant by construction.**  The simulator is
-///    byte-identical at any --jobs / --world-threads / --world-lanes
-///    count, so those never enter a key — there is no API to exclude
-///    them, they are simply never added.  What IS added: platform
+///    byte-identical at any --jobs count, so it never enters a key —
+///    there is no API to exclude it, it is simply never added.  What IS added: platform
 ///    constants, NIC/torus/Lustre parameters, exec mode, rank count,
 ///    the workload descriptor and its config, and the RNG seed.
 ///

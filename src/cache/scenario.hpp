@@ -12,9 +12,9 @@
 /// ablation sweeps (which mutate arbitrary machine parameters) safe to
 /// cache: a mutated parameter always lands in the key.
 ///
-/// What is never added here, by construction: --jobs, --world-threads,
-/// --world-lanes, heartbeat/telemetry settings — the simulator is
-/// byte-identical across all of them (see fingerprint.hpp).
+/// What is never added here, by construction: --jobs and
+/// heartbeat/telemetry settings — the simulator is byte-identical
+/// across all of them (see fingerprint.hpp).
 
 #include "apps/aorsa.hpp"
 #include "apps/cam.hpp"

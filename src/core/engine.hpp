@@ -21,28 +21,21 @@
 /// can advance past it, and (time, seq) order across both structures is
 /// preserved exactly.
 ///
-/// Lane mode (enable_lanes) replaces the two global structures with P
-/// per-lane replicas plus a windowed drain / serial-merge / refill
-/// cycle whose drain and refill phases run on the World's ParallelPool
-/// — see core/lanes.hpp for the protocol and why the executed order is
-/// still the exact global (time, seq) sequence of this serial loop.
+/// One Engine runs on one host thread; concurrency lives between
+/// Worlds (runner::sweep, `--jobs`), never inside one.
 
 #include <cstdint>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/inline_fn.hpp"
-#include "core/lanes.hpp"
 #include "core/progress.hpp"
 #include "core/units.hpp"
 
 namespace xts {
-
-class ParallelPool;
 
 class Engine {
  public:
@@ -52,13 +45,6 @@ class Engine {
 
   /// Current simulated time in seconds.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-
-  /// Intra-World worker pool for fork-join work inside event handlers
-  /// (null => serial).  Owned by the World; see core/parallel.hpp for
-  /// the determinism contract.  Subsystems (FlowNetwork) query this per
-  /// pass, so `--world-threads=1` leaves no trace on the hot path.
-  void set_parallel(ParallelPool* pool) noexcept { parallel_ = pool; }
-  [[nodiscard]] ParallelPool* parallel() const noexcept { return parallel_; }
 
   /// Heartbeat progress sink (null => off, the default).  While set,
   /// step() refreshes it every kProgressStride events with relaxed
@@ -81,10 +67,6 @@ class Engine {
   /// Schedule \p fn to run at absolute simulated time \p t (>= now()).
   void schedule_at(SimTime t, InlineFn fn) {
     if (t < now_) throw UsageError("Engine::schedule_at: time in the past");
-    if (lanes_ != nullptr) {
-      lane_schedule(t, std::move(fn));
-      return;
-    }
     if (t == now_) {
       fifo_push(Event{t, next_seq_++, std::move(fn)});
     } else {
@@ -98,12 +80,8 @@ class Engine {
     schedule_at(now_ + dt, std::move(fn));
   }
 
-  /// Run one event.  Returns false when the queue is empty.  Lane mode
-  /// executes whole windows, not single events — use run()/run_until().
+  /// Run one event.  Returns false when the queue is empty.
   bool step() {
-    if (lanes_ != nullptr)
-      throw UsageError("Engine::step: single-stepping is unavailable in "
-                       "lane mode; use run() or run_until()");
     Event ev;
     if (fifo_count_ > 0) {
       // Heap events at the same instant but scheduled earlier (when the
@@ -130,10 +108,6 @@ class Engine {
 
   /// Run until no events remain.
   void run() {
-    if (lanes_ != nullptr) {
-      lane_run(std::numeric_limits<double>::infinity());
-      return;
-    }
     while (step()) {
     }
   }
@@ -144,7 +118,6 @@ class Engine {
   /// later), so callers composing run_until with schedule_after observe
   /// the simulated interval as fully elapsed.
   bool run_until(SimTime deadline) {
-    if (lanes_ != nullptr) return lane_run(deadline);
     for (;;) {
       const SimTime t = next_event_time();
       if (t > deadline) {
@@ -160,70 +133,7 @@ class Engine {
     return events_processed_;
   }
   [[nodiscard]] std::size_t events_pending() const noexcept {
-    return fifo_count_ + heap_.size() +
-           (lanes_ != nullptr ? lanes_->pending : 0);
-  }
-
-  // -- lane mode (intra-World parallel event execution) ------------------
-
-  /// Switch the engine to lane mode: \p lanes per-partition queues and
-  /// a conservative window of width \p lookahead (the minimum
-  /// cross-partition latency; >= 0, where 0 degenerates to one-instant
-  /// windows).  Must be called on an empty queue, once.  Serial-path
-  /// behavior is untouched while disabled.
-  void enable_lanes(int lanes, SimTime lookahead);
-
-  [[nodiscard]] bool lanes_enabled() const noexcept {
-    return lanes_ != nullptr;
-  }
-  [[nodiscard]] int lane_count() const noexcept {
-    return lanes_ != nullptr ? static_cast<int>(lanes_->queues.size()) : 0;
-  }
-  [[nodiscard]] SimTime lane_lookahead() const noexcept {
-    return lanes_ != nullptr ? lanes_->lookahead : 0.0;
-  }
-
-  /// Lane tag applied to newly scheduled events.  Handlers inherit the
-  /// lane of the event being executed; LaneScope overrides it for
-  /// cross-lane routing (rank spawns, flow-completion delivery).  The
-  /// tag only chooses which per-lane queue holds an event between
-  /// windows — it can never change execution order.  No-op / 0 while
-  /// lane mode is off.
-  void set_current_lane(int lane) {
-    if (lanes_ == nullptr) return;
-    if (lane < 0 || lane >= lane_count())
-      throw UsageError("Engine::set_current_lane: lane out of range");
-    lanes_->cur_lane = lane;
-  }
-  [[nodiscard]] int current_lane() const noexcept {
-    return lanes_ != nullptr ? lanes_->cur_lane : 0;
-  }
-
-  /// RAII lane-tag override around a scheduling call.
-  class LaneScope {
-   public:
-    LaneScope(Engine& engine, int lane)
-        : engine_(engine), prev_(engine.current_lane()) {
-      engine_.set_current_lane(lane);
-    }
-    ~LaneScope() { engine_.set_current_lane(prev_); }
-    LaneScope(const LaneScope&) = delete;
-    LaneScope& operator=(const LaneScope&) = delete;
-
-   private:
-    Engine& engine_;
-    int prev_;
-  };
-
-  /// Windows executed so far (lane mode only).
-  [[nodiscard]] std::uint64_t lane_windows() const noexcept {
-    return lanes_ != nullptr ? lanes_->windows : 0;
-  }
-  /// Per-lane tallies; requires lane mode.
-  [[nodiscard]] const std::vector<LaneCounters>& lane_counters() const {
-    if (lanes_ == nullptr)
-      throw UsageError("Engine::lane_counters: lane mode is off");
-    return lanes_->counters;
+    return fifo_count_ + heap_.size();
   }
 
  private:
@@ -319,17 +229,6 @@ class Engine {
     fifo_head_ = 0;
   }
 
-  // -- lane-mode machinery (core/engine.cpp) -----------------------------
-
-  void lane_schedule(SimTime t, InlineFn fn);
-  bool lane_run(SimTime bound);
-  void lane_drain_phase(SimTime start, SimTime horizon, SimTime cap);
-  void lane_execute_window();
-  void lane_refill_phase();
-  void lane_restore();  ///< exception path: requeue un-executed events
-  void lane_fold_telemetry();
-
-  ParallelPool* parallel_ = nullptr;
   RunProgress* progress_ = nullptr;
   std::size_t progress_published_ = 0;
   SimTime now_ = 0.0;
@@ -339,7 +238,6 @@ class Engine {
   std::vector<Event> fifo_;
   std::size_t fifo_head_ = 0;
   std::size_t fifo_count_ = 0;
-  std::unique_ptr<LaneState> lanes_;  ///< non-null => lane mode
 };
 
 }  // namespace xts

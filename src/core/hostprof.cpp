@@ -9,12 +9,8 @@ const char* host_subsys_name(HostSubsys s) noexcept {
   switch (s) {
     case HostSubsys::kEngine: return "engine";
     case HostSubsys::kRates: return "net.rates";
-    case HostSubsys::kPoolWork: return "pool.work";
-    case HostSubsys::kPoolIdle: return "pool.idle";
     case HostSubsys::kExport: return "obsv.export";
     case HostSubsys::kTelemetry: return "telemetry";
-    case HostSubsys::kLaneDrain: return "lanes.drain";
-    case HostSubsys::kLaneRefill: return "lanes.refill";
   }
   return "?";
 }
@@ -22,8 +18,8 @@ const char* host_subsys_name(HostSubsys s) noexcept {
 namespace {
 
 // Shards are appended once per thread and never removed: a worker
-// thread's accumulated time must survive the thread (pools are torn
-// down before the exit-time breakdown is written).  std::deque keeps
+// thread's accumulated time must survive the thread (sweep workers are
+// joined before the exit-time breakdown is written).  std::deque keeps
 // them address-stable for the thread_local pointers.
 struct ShardRegistry {
   std::mutex mu;
@@ -55,20 +51,6 @@ HostProfile::Totals HostProfile::fold() {
   for (const Shard& sh : r.shards)
     for (std::size_t i = 0; i < kHostSubsysCount; ++i)
       out.seconds[i] += sh.acc[i].load(std::memory_order_relaxed);
-  return out;
-}
-
-std::vector<HostProfile::Totals> HostProfile::fold_each() {
-  std::vector<Totals> out;
-  ShardRegistry& r = registry();
-  const std::lock_guard<std::mutex> lk(r.mu);
-  out.reserve(r.shards.size());
-  for (const Shard& sh : r.shards) {
-    Totals t;
-    for (std::size_t i = 0; i < kHostSubsysCount; ++i)
-      t.seconds[i] = sh.acc[i].load(std::memory_order_relaxed);
-    out.push_back(t);
-  }
   return out;
 }
 

@@ -4,8 +4,8 @@
 /// Host-side self-profiling: where does the *simulator's* wall-clock
 /// go?  Scoped timers charge real (steady-clock) time to a small fixed
 /// set of subsystems; accumulators are sharded per host thread (the
-/// obsv shard/absorb idea applied to plain doubles) so the engine
-/// loop, pool workers and the telemetry sampler never contend.
+/// obsv shard/absorb idea applied to plain doubles) so sweep worker
+/// threads and the telemetry sampler never contend.
 ///
 /// Attribution is *exclusive*: entering a nested scope (e.g. a
 /// FlowNetwork rate pass inside the engine dispatch loop) charges the
@@ -24,7 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 namespace xts {
 
@@ -34,14 +33,10 @@ namespace xts {
 enum class HostSubsys : std::uint8_t {
   kEngine = 0,  ///< engine event dispatch (World::run loop)
   kRates,       ///< FlowNetwork min-share / max-min rate allocation
-  kPoolWork,    ///< ParallelPool worker lanes executing chunks
-  kPoolIdle,    ///< ParallelPool worker lanes waiting for a job
   kExport,      ///< obsv exporters (trace/profile files, tables)
   kTelemetry,   ///< heartbeat sampler + record emission
-  kLaneDrain,   ///< lane-mode parallel window drain (core/lanes.hpp)
-  kLaneRefill,  ///< lane-mode parallel mailbox refill
 };
-inline constexpr std::size_t kHostSubsysCount = 8;
+inline constexpr std::size_t kHostSubsysCount = 4;
 
 [[nodiscard]] const char* host_subsys_name(HostSubsys s) noexcept;
 
@@ -71,10 +66,6 @@ class HostProfile {
   /// call from any thread while timers run (shards are single-writer
   /// atomics); an open scope contributes once it next charges.
   [[nodiscard]] static Totals fold();
-
-  /// Per-shard view, registration order — the "per lane" detail for
-  /// pool work-vs-idle reporting.
-  [[nodiscard]] static std::vector<Totals> fold_each();
 
   /// Zero every shard's accumulators (open scopes keep running).
   static void reset();

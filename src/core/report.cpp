@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 
 namespace xts {
 
@@ -91,28 +90,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
           j > 4096)
         throw UsageError("--jobs= needs an integer in [1, 4096]");
       opt.jobs = static_cast<int>(j);
-    } else if (arg.rfind("--world-threads=", 0) == 0) {
-      const std::string v = arg.substr(16);
-      char* end = nullptr;
-      const long t = std::strtol(v.c_str(), &end, 10);
-      if (v.empty() || end == nullptr || *end != '\0' || t < 1 || t > 256)
-        throw UsageError("--world-threads= needs an integer in [1, 256]");
-      opt.world_threads = static_cast<int>(t);
-      set_default_world_threads(opt.world_threads);
-    } else if (arg.rfind("--world-lanes=", 0) == 0) {
-      const std::string v = arg.substr(14);
-      char* end = nullptr;
-      const long l = std::strtol(v.c_str(), &end, 10);
-      if (v.empty() || end == nullptr || *end != '\0' || l < 1 || l > 256)
-        throw UsageError("--world-lanes= needs an integer in [1, 256]");
-      set_default_world_lanes(static_cast<int>(l));
-    } else if (arg.rfind("--par-grain=", 0) == 0) {
-      const std::string v = arg.substr(12);
-      char* end = nullptr;
-      const long g = std::strtol(v.c_str(), &end, 10);
-      if (v.empty() || end == nullptr || *end != '\0' || g < 1)
-        throw UsageError("--par-grain= needs a positive integer");
-      set_default_parallel_grain(static_cast<int>(g));
     } else if (arg.rfind("--trace=", 0) == 0) {
       opt.trace_file = arg.substr(8);
       if (opt.trace_file.empty())
@@ -145,19 +122,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
                 << "  --jobs=N        run N sweep points concurrently "
                    "(default: host cores;\n"
                    "                  output is identical at any N)\n"
-                << "  --world-threads=N  host threads for parallel work "
-                   "inside each World\n"
-                   "                  (default 1 = serial; output is "
-                   "identical at any N)\n"
-                << "  --world-lanes=N event lanes for parallel event "
-                   "execution inside each\n"
-                   "                  World (default: follow "
-                   "--world-threads; 1 disables;\n"
-                   "                  output is identical at any N)\n"
-                << "  --par-grain=N   min same-instant wave size before the "
-                   "intra-World\n"
-                   "                  pool engages (default 512; tests use "
-                   "small values)\n"
                 << "  --trace=FILE    write a chrome://tracing span trace\n"
                 << "  --profile=FILE  write a profiling/attribution report "
                    "(xtsim_profile JSON)\n"

@@ -38,21 +38,17 @@ class Table {
 };
 
 /// Shared CLI handling for bench binaries: recognizes --csv, --quick,
-/// --full, --jobs=N, --world-threads=N, --world-lanes=N, --par-grain=N,
-/// --trace=<file>, --metrics, --profile=<file>, --heartbeat=SECS,
-/// --telemetry=<file> and --help.  Anything unrecognized raises
-/// UsageError.  The observability flags are plain data here — benches
-/// hand them to obsv::arm_cli, and --jobs to runner::sweep (core cannot
-/// depend on obsv/runner).  --world-threads/--world-lanes/--par-grain
-/// are applied directly to the core parallel defaults during parse, so
-/// every World built afterwards picks them up without driver changes.
+/// --full, --jobs=N, --trace=<file>, --metrics, --profile=<file>,
+/// --heartbeat=SECS, --telemetry=<file>, --cache-dir=<dir> and --help.
+/// Anything unrecognized raises UsageError.  The observability flags
+/// are plain data here — benches hand them to obsv::arm_cli, and --jobs
+/// to runner::sweep (core cannot depend on obsv/runner).
 struct BenchOptions {
   bool csv = false;        ///< also emit CSV blocks
   bool quick = false;      ///< reduced sweep for CI
   bool full = false;       ///< paper-scale sweep (slow)
   bool metrics = false;    ///< print metrics/utilization tables at exit
   int jobs = 0;            ///< sweep parallelism; 0 = hardware concurrency
-  int world_threads = 1;   ///< intra-World threads (echo of the default set)
   std::string trace_file;  ///< Chrome trace output path ("" = off)
   std::string profile_file;  ///< attribution profile JSON path ("" = off)
   double heartbeat_s = 0.0;  ///< live heartbeat period to stderr (0 = off)

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/hostprof.hpp"
-#include "core/parallel.hpp"
 
 namespace xts::net {
 
@@ -171,7 +170,6 @@ SimFutureV FlowNetwork::transfer(NodeId src, NodeId dst, double bytes) {
   SimPromiseV promise(engine_);
   auto future = promise.future();
   if (bytes == 0.0) {
-    const Engine::LaneScope scope(engine_, completion_lane(dst));
     promise.set_value(Done{});
     return future;
   }
@@ -211,7 +209,6 @@ std::uint32_t FlowNetwork::add_flow(NodeId src, NodeId dst, double bytes) {
   f.remaining = bytes;
   f.rate = 0.0;
   f.last_settle = engine_.now();
-  f.dst = dst;
   f.in_use = true;
   get_route(src, dst, f.links);
   f.link_pos.clear();
@@ -315,7 +312,7 @@ void FlowNetwork::finish_flow(std::uint32_t idx) {
       }
     }
   }
-  done_.push_back(Completion{std::move(f.promise), f.waiter, f.dst});
+  done_.push_back(Completion{std::move(f.promise), f.waiter});
   ++f.gen;  // strand any heap entries still naming this slot
   f.waiter = {};
   f.rate = 0.0;
@@ -330,10 +327,6 @@ void FlowNetwork::finish_flow(std::uint32_t idx) {
 
 void FlowNetwork::fire_completions() {
   for (Completion& c : done_) {
-    // Queue the receiver-side resumption in the destination node's
-    // event lane, not whichever lane's event triggered this rate pass.
-    // Inert when lane mode is off.
-    const Engine::LaneScope scope(engine_, completion_lane(c.dst));
     if (c.promise.valid()) {
       c.promise.set_value(Done{});
     } else if (c.waiter) {
@@ -450,70 +443,10 @@ void FlowNetwork::update_rates_min_share(SimTime now) {
   // When the change is dense (a big wave dirtied about as many links
   // as there are flows), a straight scan of the slot map beats
   // chasing the per-link index lists.
-  //
-  // With a ParallelPool installed (--world-threads > 1) and a wave at
-  // or above the grain, the pure per-flow math — compute_rate, which
-  // only reads link_load_ and the flow's route, both frozen for the
-  // duration of the pass — fans out across pool lanes into index-
-  // addressed slots of new_rates_.  Everything order-sensitive
-  // (settle_flow's floating-point accumulation into
-  // settled_delivered_ and the per-link byte stats, gen bumps,
-  // pending_ completion predictions) stays in apply_rate, which runs
-  // afterwards on this thread in exactly the serial visit order.
-  // Output is therefore byte-identical at any thread count.
-  ParallelPool* pool = engine_.parallel();
-  const auto grain = static_cast<std::size_t>(default_parallel_grain());
-  const bool pooled = pool != nullptr && pool->threads() > 1;
-
   if (dirty_links_.size() >= active_count_) {
-    const std::size_t n = flows_.size();
-    if (pooled && active_count_ >= grain) {
-      ++parallel_passes_;
-      new_rates_.resize(n);
-      auto body = [this](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          const Flow& f = flows_[i];
-          if (f.in_use) new_rates_[i] = compute_rate(f);
-        }
-      };
-      pool->for_range(n, body);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        Flow& f = flows_[i];
-        if (f.in_use) apply_rate(i, f, new_rates_[i], now);
-      }
-      return;
-    }
     for (std::uint32_t i = 0; i < flows_.size(); ++i) {
       Flow& f = flows_[i];
       if (f.in_use) apply_rate(i, f, compute_rate(f), now);
-    }
-    return;
-  }
-
-  if (pooled) {
-    // Collect the wave first (dirty-link-major, first-touch dedup —
-    // the exact order the serial loop below visits flows in).
-    affected_.clear();
-    for (const LinkId dl : dirty_links_) {
-      for (const LinkRef ref : link_flows_[static_cast<std::size_t>(dl)]) {
-        if (flow_stamp_[ref.flow] == stamp_) continue;
-        flow_stamp_[ref.flow] = stamp_;
-        affected_.push_back(ref.flow);
-      }
-    }
-    if (affected_.size() >= grain) {
-      ++parallel_passes_;
-      new_rates_.resize(affected_.size());
-      auto body = [this](std::size_t b, std::size_t e) {
-        for (std::size_t k = b; k < e; ++k)
-          new_rates_[k] = compute_rate(flows_[affected_[k]]);
-      };
-      pool->for_range(affected_.size(), body);
-      for (std::size_t k = 0; k < affected_.size(); ++k)
-        apply_rate(affected_[k], flows_[affected_[k]], new_rates_[k], now);
-    } else {
-      for (const std::uint32_t fi : affected_)
-        apply_rate(fi, flows_[fi], compute_rate(flows_[fi]), now);
     }
     return;
   }
@@ -534,10 +467,6 @@ void FlowNetwork::update_rates_max_min(SimTime now) {
   // flow/link sharing graph: a component's rates depend only on its
   // own members.  Expand the dirty links to the full component, then
   // run progressive filling there against fresh link capacities.
-  // This path stays serial even under --world-threads: progressive
-  // filling interleaves residual_/active_share_ mutation with freeze
-  // checks inside one sweep, so per-flow work is order-dependent and
-  // cannot fan out without changing results (see docs/PARALLELISM.md).
   // dirty_links_ doubles as the BFS frontier; every appended link is
   // stamped first, so each link and flow is visited once.
   comp_flows_.clear();

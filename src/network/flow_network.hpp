@@ -33,7 +33,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -130,14 +129,6 @@ class FlowNetwork {
     progress_ = progress;
   }
 
-  /// Lane router for completion delivery (lane-mode engines): maps a
-  /// flow's destination node to its event lane so the receiver-side
-  /// resumption is queued in the receiver's lane rather than whichever
-  /// lane triggered the rate pass.  Unset => completions inherit the
-  /// current lane (and with lane mode off the tag is inert either way).
-  void set_lane_router(std::function<int(NodeId)> router) {
-    lane_router_ = std::move(router);
-  }
   /// High-water mark of concurrent flows (capacity-planning stat).
   [[nodiscard]] std::size_t peak_flows() const noexcept {
     return peak_flows_;
@@ -158,12 +149,6 @@ class FlowNetwork {
   /// Individual per-flow rate recomputations across all passes.
   [[nodiscard]] std::uint64_t rate_updates() const noexcept {
     return rate_updates_;
-  }
-  /// Min-share passes whose per-flow rate math ran on the World's
-  /// ParallelPool (0 when serial or every wave was below the grain).
-  /// Tests use this to assert the parallel path actually executed.
-  [[nodiscard]] std::uint64_t parallel_passes() const noexcept {
-    return parallel_passes_;
   }
   [[nodiscard]] std::uint64_t route_cache_hits() const noexcept {
     return route_cache_.hits();
@@ -209,7 +194,6 @@ class FlowNetwork {
     double rate = 0.0;
     SimTime last_settle = 0.0;
     std::uint32_t gen = 0;  ///< invalidates completion-heap entries
-    NodeId dst = 0;         ///< destination node (lane-routed delivery)
     bool in_use = false;
     Route links;
     SmallVec<std::uint32_t, 16> link_pos;  ///< index in link_flows_[links[i]]
@@ -234,14 +218,10 @@ class FlowNetwork {
   struct Completion {
     SimPromiseV promise;
     std::coroutine_handle<> waiter{};
-    NodeId dst = 0;
   };
 
   [[nodiscard]] double link_capacity(LinkId link) const noexcept;
   [[nodiscard]] double compute_rate(const Flow& f) const noexcept;
-  [[nodiscard]] int completion_lane(NodeId dst) const {
-    return lane_router_ ? lane_router_(dst) : engine_.current_lane();
-  }
   void get_route(NodeId src, NodeId dst, Route& out);
   std::uint32_t add_flow(NodeId src, NodeId dst, double bytes);
   void start_flow(NodeId src, NodeId dst, double bytes,
@@ -294,12 +274,6 @@ class FlowNetwork {
 
   std::vector<CompletionEntry> cheap_;  ///< lazy completion min-heap
   std::vector<CompletionEntry> pending_;  ///< scratch: predictions to insert
-  // Parallel min-share scratch: the wave's flows in canonical (serial)
-  // visit order and their freshly computed rates, filled index-
-  // addressed by pool lanes and folded back serially (see
-  // core/parallel.hpp for the determinism contract).
-  std::vector<std::uint32_t> affected_;
-  std::vector<double> new_rates_;
   std::vector<Completion> done_;        ///< scratch: completions to fire
   std::vector<std::uint32_t> comp_flows_;  ///< scratch: max-min component
   std::vector<double> residual_;           ///< scratch: max-min filling
@@ -322,7 +296,6 @@ class FlowNetwork {
   double sample_min_dt_ = 0.0;  ///< doubles when the series overflows
 
   RunProgress* progress_ = nullptr;
-  std::function<int(NodeId)> lane_router_;
   std::size_t active_count_ = 0;
   std::size_t peak_flows_ = 0;
   std::uint64_t epoch_ = 0;        ///< invalidates scheduled timers
@@ -331,7 +304,6 @@ class FlowNetwork {
   double settled_delivered_ = 0.0;
   std::uint64_t recompute_passes_ = 0;
   std::uint64_t rate_updates_ = 0;
-  std::uint64_t parallel_passes_ = 0;
 };
 
 }  // namespace xts::net

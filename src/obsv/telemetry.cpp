@@ -18,7 +18,6 @@
 #include "core/cache_stats.hpp"
 #include "core/error.hpp"
 #include "core/hostprof.hpp"
-#include "core/lanes.hpp"
 
 namespace xts::obsv {
 
@@ -68,7 +67,6 @@ struct Sample {
   double sim_rate = 0.0;
   std::uint64_t queue = 0;
   std::uint64_t flows = 0;
-  double pool_util = 0.0;
   long rss = 0;
   bool final_beat = false;
 };
@@ -117,10 +115,6 @@ Sample take_sample_locked(State& s, bool final_beat, bool advance) {
         static_cast<double>(out.events - s.prev_events) / dt;
     out.sim_rate = (out.sim - s.prev_sim) / dt;
   }
-  const HostProfile::Totals tot = HostProfile::fold();
-  const double work = tot[HostSubsys::kPoolWork];
-  const double idle = tot[HostSubsys::kPoolIdle];
-  out.pool_util = work + idle > 0.0 ? work / (work + idle) : 0.0;
   out.rss = host_current_rss_bytes();
   out.final_beat = final_beat;
   if (advance) {
@@ -141,7 +135,6 @@ std::string heartbeat_json(const Sample& smp) {
                   ",\"sim_rate\":" + num(smp.sim_rate) +
                   ",\"queue_depth\":" + unum(smp.queue) +
                   ",\"flows\":" + unum(smp.flows) +
-                  ",\"pool_util\":" + num(smp.pool_util) +
                   ",\"rss_bytes\":" + std::to_string(smp.rss);
   if (smp.final_beat) r += ",\"final\":true";
   r += "}";
@@ -152,14 +145,12 @@ std::string heartbeat_text(const Sample& smp) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "telemetry: wall %.1fs  sim %.3es (%.3ex)  events %llu "
-                "(%.3e/s)  queue %llu  flows %llu  pool %.0f%%  rss %.1f "
-                "MiB",
+                "(%.3e/s)  queue %llu  flows %llu  rss %.1f MiB",
                 smp.wall, smp.sim, smp.sim_rate,
                 static_cast<unsigned long long>(smp.events),
                 smp.events_per_s,
                 static_cast<unsigned long long>(smp.queue),
                 static_cast<unsigned long long>(smp.flows),
-                smp.pool_util * 100.0,
                 static_cast<double>(smp.rss) / (1024.0 * 1024.0));
   return buf;
 }
@@ -178,69 +169,27 @@ void emit_heartbeat_locked(State& s, bool final_beat) {
 std::string breakdown_json_locked(State& s) {
   const double wall = wall_now_locked(s);
   const HostProfile::Totals tot = HostProfile::fold();
-  // The main-lane subsystems tile the covered wall time exclusively;
-  // "other" is whatever the run spent outside any instrumented scope
-  // (bench setup, result table assembly, app-model compute...).  On a
-  // single-lane run shares sum to ~1 by construction; overlapping
-  // lanes (pool workers, the sampler) can push the tracked sum past
-  // wall — that is CPU-seconds, not an accounting bug.
-  // Lane drain/refill run on the main thread too (inside run()), so
-  // they belong in the tile — ScopedHostTimer carves them out of
-  // kEngine there; worker-side drain time lands on top of the pool
-  // lanes' kPoolWork and only pushes the tracked sum up.
-  const HostSubsys main_lane[] = {HostSubsys::kEngine, HostSubsys::kRates,
-                                  HostSubsys::kExport,
-                                  HostSubsys::kTelemetry,
-                                  HostSubsys::kLaneDrain,
-                                  HostSubsys::kLaneRefill};
+  // The subsystems tile the covered wall time exclusively; "other" is
+  // whatever the run spent outside any instrumented scope (bench setup,
+  // result table assembly, app-model compute...).  On a --jobs=1 run
+  // shares sum to ~1 by construction; overlapping threads (sweep
+  // workers, the sampler) can push the tracked sum past wall — that is
+  // CPU-seconds, not an accounting bug.
   double tracked = 0.0;
-  for (const HostSubsys sub : main_lane) tracked += tot[sub];
+  for (const double sec : tot.seconds) tracked += sec;
   const double other = std::max(0.0, wall - tracked);
   const double denom = wall > 0.0 ? wall : 1.0;
 
   std::string r = "{\"kind\":\"breakdown\",\"wall_s\":" + num(wall) +
                   ",\"subsystems\":{";
-  for (const HostSubsys sub : main_lane) {
+  for (std::size_t i = 0; i < kHostSubsysCount; ++i) {
+    const auto sub = static_cast<HostSubsys>(i);
     r += std::string("\"") + host_subsys_name(sub) +
          "\":{\"s\":" + num(tot[sub]) +
          ",\"share\":" + num(tot[sub] / denom) + "},";
   }
   r += "\"other\":{\"s\":" + num(other) +
        ",\"share\":" + num(other / denom) + "}}";
-
-  const double work = tot[HostSubsys::kPoolWork];
-  const double idle = tot[HostSubsys::kPoolIdle];
-  r += ",\"pool\":{\"work_s\":" + num(work) + ",\"idle_s\":" + num(idle) +
-       ",\"util\":" +
-       num(work + idle > 0.0 ? work / (work + idle) : 0.0) +
-       ",\"lanes\":[";
-  bool first = true;
-  for (const HostProfile::Totals& lane : HostProfile::fold_each()) {
-    const double lw = lane[HostSubsys::kPoolWork];
-    const double li = lane[HostSubsys::kPoolIdle];
-    if (lw + li <= 0.0) continue;  // not a pool lane
-    r += (first ? "" : ",");
-    r += "{\"work_s\":" + num(lw) + ",\"idle_s\":" + num(li) + "}";
-    first = false;
-  }
-  r += "]}";
-
-  // Event-lane telemetry (conservative intra-World lanes; empty when
-  // lane mode never engaged).  Per-lane executed counts expose lane
-  // imbalance; deferred counts cross-lane (mailbox) traffic.
-  const LaneTelemetry lt = lanes_telemetry_snapshot();
-  r += ",\"event_lanes\":{\"windows\":" + unum(lt.windows) + ",\"lanes\":[";
-  first = true;
-  for (const LaneCounters& lc : lt.lanes) {
-    r += (first ? "" : ",");
-    r += "{\"scheduled\":" + unum(lc.scheduled) +
-         ",\"executed\":" + unum(lc.executed) +
-         ",\"deferred\":" + unum(lc.deferred) +
-         ",\"drain_s\":" + num(lc.drain_s) +
-         ",\"refill_s\":" + num(lc.refill_s) + "}";
-    first = false;
-  }
-  r += "]}";
 
   const HostFaults faults = host_page_faults();
   r += ",\"host\":{\"peak_rss_bytes\":" +
@@ -303,10 +252,9 @@ void start(const TelemetryOptions& opt) {
   }
   s.t0 = std::chrono::steady_clock::now();
   HostProfile::reset();
-  lanes_telemetry_reset();
   HostProfile::enable(true);
   if (s.stream.is_open()) {
-    s.stream << "{\"xtsim_telemetry\":1,\"schema\":1,\"kind\":\"start\""
+    s.stream << "{\"xtsim_telemetry\":1,\"schema\":2,\"kind\":\"start\""
              << ",\"heartbeat_s\":" << num(opt.heartbeat_s)
              << ",\"pid\":" << static_cast<long>(getpid()) << "}\n";
     s.stream.flush();

@@ -11,7 +11,7 @@
 ///
 ///   {"kind":"heartbeat","seq":N,"wall_s":..,"sim_s":..,"events":..,
 ///    "events_per_s":..,"sim_rate":..,"queue_depth":..,"flows":..,
-///    "pool_util":..,"rss_bytes":..}
+///    "rss_bytes":..}
 ///
 /// Records go to stderr (human one-liner, when heartbeat_s > 0)
 /// and/or a JSONL stream file (`--telemetry=`).  The stream opens with
@@ -19,8 +19,8 @@
 /// `xtstrace telemetry` recognizes the file kind) and ends with a
 /// final heartbeat plus one `"kind":"breakdown"` record: per-subsystem
 /// host seconds and shares of wall (engine, net.rates, obsv.export,
-/// telemetry, derived "other") that sum to ~100% on a single-lane run,
-/// pool work-vs-idle per lane, and getrusage peak-RSS/fault counts.
+/// telemetry, derived "other") that sum to ~100% on a --jobs=1 run,
+/// and getrusage peak-RSS/fault counts.
 ///
 /// Everything here is strictly out-of-band: stdout, `--trace=`,
 /// `--metrics` and `--profile=` bytes are identical with telemetry on

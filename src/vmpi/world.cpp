@@ -17,12 +17,6 @@ World::World(WorldConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.machine.cores_per_node > 255)
     throw UsageError("World: cores_per_node > 255 unsupported (the "
                      "placement table stores cores as uint8)");
-  const int threads = cfg_.world_threads > 0 ? cfg_.world_threads
-                                             : default_world_threads();
-  if (threads > 1) {
-    pool_ = std::make_unique<ParallelPool>(threads);
-    engine_.set_parallel(pool_.get());
-  }
   const int cores_active =
       cfg_.mode == ExecMode::kSN ? 1 : cfg_.machine.cores_per_node;
   const int nnodes = (cfg_.nranks + cores_active - 1) / cores_active;
@@ -30,28 +24,6 @@ World::World(WorldConfig cfg) : cfg_(std::move(cfg)) {
   net::TorusDims dims = cfg_.dims;
   if (dims.count() < nnodes || dims.count() == 1) {
     dims = net::Torus3D::choose_dims(std::max(2, nnodes));
-  }
-
-  // Intra-World parallel event execution: partition the torus into
-  // event lanes and run the engine in conservative windows whose width
-  // is the minimum cross-partition latency — a message into another
-  // lane pays at least the NIC injection overhead plus one router hop
-  // before any receiver-side event can exist.  Lane count follows the
-  // thread count unless overridden; output is byte-identical either
-  // way (docs/PARALLELISM.md).
-  int lanes = cfg_.world_lanes > 0 ? cfg_.world_lanes : default_world_lanes();
-  if (lanes <= 0) lanes = threads;
-  if (lanes > 1) {
-    auto part = std::make_unique<net::LanePartition>(
-        net::LanePartition::build(dims, lanes));
-    if (part->lanes() > 1) {
-      const SimTime lookahead =
-          cfg_.machine.nic.tx_overhead +
-          cfg_.machine.nic.per_hop_latency *
-              std::max(1, part->min_cross_lane_hops());
-      engine_.enable_lanes(part->lanes(), lookahead);
-      lane_part_ = std::move(part);
-    }
   }
 
   if (obsv::Session* session = obsv::Session::active()) {
@@ -67,10 +39,6 @@ World::World(WorldConfig cfg) : cfg_(std::move(cfg)) {
   ncfg.link_stats = obs_ != nullptr;
   network_ =
       std::make_unique<net::FlowNetwork>(engine_, net::Torus3D(dims), ncfg);
-  if (lane_part_ != nullptr) {
-    network_->set_lane_router(
-        [part = lane_part_.get()](net::NodeId n) { return part->lane_of(n); });
-  }
 
   // Live-heartbeat wiring (obsv/telemetry.hpp): while the telemetry
   // layer is armed, engine and network publish coarse progress into
@@ -183,10 +151,9 @@ void World::collect_summary() {
           visit(l, network_->link_class(l));
       });
 
-  // Flow-route LRU effectiveness (PR 1's cache) in the deterministic
-  // registry: event execution is one serial pass in exact global
-  // (time, seq) order at any thread/lane count (docs/PARALLELISM.md),
-  // so these totals are byte-stable across --jobs/--world-threads.
+  // Flow-route LRU effectiveness in the deterministic registry: each
+  // World runs serially on one thread, so these totals are byte-stable
+  // across --jobs.
   if (obs_->metrics()) {
     auto& reg = obs_->registry();
     reg.counter("cache.route.hits")
@@ -279,9 +246,6 @@ SimTime World::run(const RankProgram& program) {
   rank_done_.assign(static_cast<std::size_t>(cfg_.nranks), 0);
   const SimTime t0 = engine_.now();
   for (int r = 0; r < cfg_.nranks; ++r) {
-    // Lane mode: the rank's first resumption — and, by inheritance,
-    // everything it schedules — lives in its node's torus-region lane.
-    const Engine::LaneScope lane_scope(engine_, lane_of_rank(r));
     spawn(engine_, [](World& w, const RankProgram& prog, int rank)
                        -> Task<void> {
       co_await prog(w.world_comm(rank));

@@ -30,14 +30,12 @@
 
 #include "cache/warm.hpp"
 #include "core/engine.hpp"
-#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/slot_pool.hpp"
 #include "core/task.hpp"
 #include "machine/config.hpp"
 #include "machine/node.hpp"
 #include "network/flow_network.hpp"
-#include "network/lane_partition.hpp"
 #include "obsv/session.hpp"
 #include "vmpi/message.hpp"
 
@@ -57,18 +55,6 @@ struct WorldConfig {
   net::TorusDims dims{};  ///< all-zero => choose automatically
   net::Fairness fairness = net::Fairness::kMinShare;
   bool enable_trace = false;  ///< record every delivered message
-  /// Host threads for intra-World parallel work (rate-allocation fan-
-  /// out; see docs/PARALLELISM.md).  0 defers to the process default
-  /// (`--world-threads=N`); 1 is the exact serial engine.  Any value
-  /// produces byte-identical output.
-  int world_threads = 0;
-  /// Event lanes for intra-World parallel event execution (conservative
-  /// torus-partition windows; see docs/PARALLELISM.md).  0 defers to
-  /// the process default (`--world-lanes=N`), which itself defaults to
-  /// the resolved thread count; 1 disables lane mode.  The realized
-  /// count is capped by the torus's longest dimension.  Any value
-  /// produces byte-identical output.
-  int world_lanes = 0;
 };
 
 /// One delivered message (legacy trace mode).  Kept as a thin
@@ -91,31 +77,9 @@ class World {
   World& operator=(const World&) = delete;
 
   [[nodiscard]] Engine& engine() noexcept { return engine_; }
-  /// Resolved intra-World thread count (>= 1).
-  [[nodiscard]] int world_threads() const noexcept {
-    return pool_ ? pool_->threads() : 1;
-  }
   [[nodiscard]] int nranks() const noexcept { return cfg_.nranks; }
   [[nodiscard]] const WorldConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] net::FlowNetwork& network() noexcept { return *network_; }
-
-  /// Realized event-lane count (0 when lane mode is off).
-  [[nodiscard]] int world_lanes() const noexcept {
-    return engine_.lane_count();
-  }
-  /// The engine's conservative window width (0 when lane mode is off).
-  [[nodiscard]] SimTime lane_lookahead() const noexcept {
-    return engine_.lane_lookahead();
-  }
-  /// Event lane of a rank: the torus-region slab of its node (0 when
-  /// lane mode is off).
-  [[nodiscard]] int lane_of_rank(int rank) const {
-    return lane_part_ != nullptr ? lane_part_->lane_of(node_of(rank)) : 0;
-  }
-  /// Null when lane mode is off.
-  [[nodiscard]] const net::LanePartition* lane_partition() const noexcept {
-    return lane_part_.get();
-  }
 
   [[nodiscard]] net::NodeId node_of(int rank) const;
   [[nodiscard]] int core_of(int rank) const;
@@ -183,13 +147,6 @@ class World {
 
   WorldConfig cfg_;
   Engine engine_;
-  // Intra-World worker pool (null when world_threads resolves to 1);
-  // installed into engine_ so subsystems can fan out pure per-index
-  // work (core/parallel.hpp).
-  std::unique_ptr<ParallelPool> pool_;
-  // Torus-region lane partition (null when lane mode is off); the
-  // engine holds the lane queues, this maps nodes/ranks to lanes.
-  std::unique_ptr<net::LanePartition> lane_part_;
   std::vector<std::unique_ptr<machine::Node>> nodes_;
   std::unique_ptr<net::FlowNetwork> network_;
   // -- per-rank state, struct-of-arrays and sized for million-rank

@@ -160,6 +160,23 @@ TEST(Engine, LargeAndNonTrivialCapturesAreBoxedCorrectly) {
   EXPECT_EQ(big.use_count(), 1);  // boxed copy destroyed after firing
 }
 
+// A throwing handler propagates out of run() and leaves the events
+// behind it queued; a later run() executes them in order.
+TEST(Engine, ThrowingHandlerLeavesRestQueued) {
+  Engine e;
+  std::vector<int> fired;
+  e.schedule_at(1.0, [&] { fired.push_back(1); });
+  e.schedule_at(2.0, [] { throw SimError("boom"); });
+  e.schedule_at(3.0, [&] { fired.push_back(3); });
+  e.schedule_at(4.0, [&] { fired.push_back(4); });
+  EXPECT_THROW(e.run(), SimError);
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(e.events_pending(), 2u);
+  e.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(e.events_pending(), 0u);
+}
+
 TEST(Engine, EventCountersTrack) {
   Engine e;
   for (int i = 0; i < 5; ++i) e.schedule_at(static_cast<double>(i), [] {});

@@ -60,6 +60,15 @@ TEST(BenchOptions, RejectsUnknownAndConflicting) {
   const char* conflict[] = {"prog", "--quick", "--full"};
   EXPECT_THROW(BenchOptions::parse(3, const_cast<char**>(conflict), ""),
                UsageError);
+  // --jobs is the only concurrency flag; the retired intra-World ones
+  // must fail loudly rather than parse.
+  for (const char* stale :
+       {"--world-threads=4", "--world-lanes=2", "--par-grain=1"}) {
+    const char* args[] = {"prog", stale};
+    EXPECT_THROW(BenchOptions::parse(2, const_cast<char**>(args), ""),
+                 UsageError)
+        << stale;
+  }
 }
 
 }  // namespace

@@ -223,6 +223,29 @@ TEST(FlowNetwork, SameInstantArrivalsCoalesceIntoOnePass) {
   EXPECT_LE(net.recompute_passes(), 4u);
 }
 
+// Four identical flows on disjoint routes complete at the same
+// simulated instant and must resume in flow-slot order — submission
+// order here, since slots are allocated sequentially from an empty
+// network.
+TEST(FlowNetwork, SameInstantCompletionsFireInFlowSlotOrder) {
+  Engine e;
+  FlowNetwork net(e, Torus3D({8, 1, 1}), cfg());
+  std::vector<int> order;
+  std::vector<SimTime> done(4, -1.0);
+  for (int i = 0; i < 4; ++i) {
+    spawn(e, [](Engine& eng, FlowNetwork& n, int idx, std::vector<int>& ord,
+                std::vector<SimTime>& at) -> Task<void> {
+      (void)co_await n.transfer(static_cast<NodeId>(2 * idx),
+                                static_cast<NodeId>(2 * idx + 1), 16.0);
+      ord.push_back(idx);
+      at[static_cast<std::size_t>(idx)] = eng.now();
+    }(e, net, i, order, done));
+  }
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  for (std::size_t i = 1; i < done.size(); ++i) EXPECT_EQ(done[i], done[0]);
+}
+
 // Three-way contention where the two fairness policies provably
 // diverge.  Flows B, C, D share ejection(2) (the bottleneck, 1 B/s
 // each); A shares injection(0) with B.  Min-share caps A at
