@@ -10,12 +10,14 @@
 ///    MPI_Allreduce-dominated inner products make it latency-bound and
 ///    flat with scale.
 ///
-/// The proxy runs a REAL distributed conjugate-gradient solver for the
-/// barotropic phase: each rank owns a block of the 2D grid, halo
-/// exchanges move real boundary data, and the inner products are
-/// computed through allreduce payloads — the simulated time and the
-/// numerics come from the same message-passing.  The Chronopoulos-Gear
-/// variant (one fused allreduce per iteration instead of two) is the
+/// The barotropic phase is timed by the message skeleton of a real
+/// distributed conjugate-gradient solver: each rank owns a block of the
+/// 2D grid and issues exactly the solver's halo exchanges, allreduces
+/// and per-iteration compute — same order, peers, tags and byte counts —
+/// without carrying or computing the vectors, since no output reads
+/// them.  The real solver (`distributed_cg`, below) is kept and verified
+/// against the serial one by the tests.  The Chronopoulos-Gear variant
+/// (one fused allreduce per iteration instead of two) is the
 /// algorithmic improvement the paper backported from POP 2.1.
 
 #include <memory>
@@ -56,8 +58,8 @@ PopResult run_pop(const machine::MachineConfig& m, machine::ExecMode mode,
 
 /// Real distributed CG on an nx x ny 5-point Laplacian over a px x py
 /// rank grid; returns the solution gathered at rank 0 plus iteration
-/// count.  Used by tests to prove the distributed solver matches the
-/// serial one, and internally by the barotropic phase.
+/// count.  Tests use it to prove the distributed solver matches the
+/// serial one; run_pop times the same solver's message skeleton.
 struct DistributedCgResult {
   std::vector<double> x_at_root;  ///< full solution (rank 0), empty else
   int iterations = 0;
