@@ -102,7 +102,7 @@ void BM_FlowNetworkTransfers(benchmark::State& state) {
       if (src == dst) continue;
       spawn(e, [](net::FlowNetwork& fn, net::NodeId s, net::NodeId d)
                    -> Task<void> {
-        (void)co_await fn.transfer(s, d, 65536.0);
+        co_await fn.transfer_flow(s, d, 65536.0);
       }(net, src, dst));
     }
     e.run();
@@ -140,8 +140,8 @@ void BM_FlowChurn(benchmark::State& state) {
           auto dst = static_cast<net::NodeId>((s >> 32) % nn);
           if (dst == src)
             dst = static_cast<net::NodeId>((static_cast<std::uint64_t>(dst) + 1) % nn);
-          (void)co_await fn.transfer(src, dst,
-                                     1024.0 + static_cast<double>(s & 0xffff));
+          co_await fn.transfer_flow(src, dst,
+                                    1024.0 + static_cast<double>(s & 0xffff));
         }
       }(e, net, w, dims.count()));
     }

@@ -13,8 +13,7 @@
 #     OST queue grants, and IoSummary recording through the shard
 #     absorb path (sweep workers run whole filesystems concurrently);
 #   - test_cache: the scenario-result store (memo map + on-disk
-#     entries) and the warm-start placement-shape cache, both hit
-#     concurrently by sweep worker threads.
+#     entries), hit concurrently by sweep worker threads.
 # Any data race aborts the run (TSAN_OPTIONS halt_on_error), failing
 # the gate.  (The jobs=1-vs-jobs=8 bench determinism ctests stay in
 # the regular build: two full bench runs per test are too slow under

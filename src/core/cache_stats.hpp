@@ -28,8 +28,6 @@ struct ScenarioCacheStats {
   std::atomic<std::uint64_t> writes{0};      ///< entries stored
   std::atomic<std::uint64_t> corrupt{0};     ///< entries rejected by checksum
   std::atomic<std::uint64_t> bypassed{0};    ///< keyed points skipped (tracing)
-  std::atomic<std::uint64_t> warm_builds{0};  ///< placement tables built
-  std::atomic<std::uint64_t> warm_shares{0};  ///< placement tables reused
 
   void bump(std::atomic<std::uint64_t>& c,
             std::uint64_t n = 1) noexcept {

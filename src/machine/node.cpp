@@ -22,8 +22,6 @@ Node::Node(Engine& engine, const MachineConfig& cfg,
       noise_rng_(0x05e1de5c0de ^ node_seed),
       memory_(engine, cfg.memory.socket_stream_bw, cfg.name + ".mem",
               cfg.memory.core_stream_bw),
-      nic_tx_(engine, cfg.nic.injection_bw, cfg.name + ".nic_tx"),
-      nic_rx_(engine, cfg.nic.injection_bw, cfg.name + ".nic_rx"),
       nic_lock_(engine) {
   if (cfg.core.clock_hz <= 0.0)
     throw UsageError("Node: machine config has no core clock");

@@ -2,8 +2,11 @@
 
 /// \file node.hpp
 /// A simulated XT compute node: cores sharing one memory controller and
-/// one NIC.  The vmpi layer places one (SN) or two (VN) ranks on a node
-/// and drives the NIC resources; kernels run through Node::execute.
+/// one NIC.  The vmpi layer places one (SN) or two (VN) ranks on a node;
+/// kernels run through Node::execute.  NIC bandwidth sharing is not
+/// modelled here: every message's flow crosses its node's injection and
+/// ejection links in the net::FlowNetwork, so in VN mode two ranks'
+/// messages halve each other's injection bandwidth there (Figs 12/13).
 
 #include <memory>
 
@@ -48,12 +51,6 @@ class Node {
   /// intra-node MPI messages, costed as read+write traffic).
   [[nodiscard]] SimFutureV memcpy_traffic(double bytes);
 
-  /// NIC injection (tx) and ejection (rx) servers; shared fairly by
-  /// concurrent messages — in VN mode two ranks' messages halve each
-  /// other's injection bandwidth exactly as in Fig 12/13 of the paper.
-  [[nodiscard]] SharedServer& nic_tx() noexcept { return nic_tx_; }
-  [[nodiscard]] SharedServer& nic_rx() noexcept { return nic_rx_; }
-
   /// Serialized NIC doorbell/mailbox access; in VN mode the non-owner
   /// core's messages are forwarded by the owner core through this.
   [[nodiscard]] FifoResource& nic_lock() noexcept { return nic_lock_; }
@@ -71,8 +68,6 @@ class Node {
   const MachineConfig* cfg_;
   Rng noise_rng_;
   SharedServer memory_;
-  SharedServer nic_tx_;
-  SharedServer nic_rx_;
   FifoResource nic_lock_;
   int random_active_ = 0;
 };

@@ -165,18 +165,6 @@ void FlowNetwork::get_route(NodeId src, NodeId dst, Route& out) {
   route_cache_.insert(src, dst, out);
 }
 
-SimFutureV FlowNetwork::transfer(NodeId src, NodeId dst, double bytes) {
-  if (bytes < 0.0) throw UsageError("FlowNetwork::transfer: negative size");
-  SimPromiseV promise(engine_);
-  auto future = promise.future();
-  if (bytes == 0.0) {
-    promise.set_value(Done{});
-    return future;
-  }
-  flows_[add_flow(src, dst, bytes)].promise = std::move(promise);
-  return future;
-}
-
 FlowNetwork::TransferAwaiter FlowNetwork::transfer_flow(NodeId src,
                                                         NodeId dst,
                                                         double bytes) {
@@ -312,7 +300,7 @@ void FlowNetwork::finish_flow(std::uint32_t idx) {
       }
     }
   }
-  done_.push_back(Completion{std::move(f.promise), f.waiter});
+  done_.push_back(f.waiter);
   ++f.gen;  // strand any heap entries still naming this slot
   f.waiter = {};
   f.rate = 0.0;
@@ -326,14 +314,8 @@ void FlowNetwork::finish_flow(std::uint32_t idx) {
 }
 
 void FlowNetwork::fire_completions() {
-  for (Completion& c : done_) {
-    if (c.promise.valid()) {
-      c.promise.set_value(Done{});
-    } else if (c.waiter) {
-      const auto h = c.waiter;
-      engine_.schedule_after(0.0, [h] { h.resume(); });
-    }
-  }
+  for (const std::coroutine_handle<> h : done_)
+    engine_.schedule_after(0.0, [h] { h.resume(); });
   done_.clear();
 }
 

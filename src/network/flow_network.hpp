@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/future.hpp"
 #include "core/small_vec.hpp"
 #include "network/route_cache.hpp"
 #include "network/torus.hpp"
@@ -78,14 +77,11 @@ class FlowNetwork {
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
-  /// Begin moving `bytes` from node `src` to node `dst`; the returned
-  /// future completes when the last byte has been ejected.  The caller
+  /// Move `bytes` from node `src` to node `dst`: awaiting the returned
+  /// handle starts the flow and parks the coroutine in its slot; it
+  /// resumes, through the event queue, when the last byte has been
+  /// ejected (a zero-byte transfer does not suspend).  The caller
   /// (vmpi) accounts for first-byte latency separately.
-  [[nodiscard]] SimFutureV transfer(NodeId src, NodeId dst, double bytes);
-
-  /// Allocation-free transfer handle: awaiting it parks the coroutine
-  /// directly in the flow slot (no promise shared-state allocation) and
-  /// resumes it, through the event queue, when the last byte ejects.
   class [[nodiscard]] TransferAwaiter {
    public:
     [[nodiscard]] bool await_ready() const noexcept { return bytes_ == 0.0; }
@@ -197,8 +193,7 @@ class FlowNetwork {
     bool in_use = false;
     Route links;
     SmallVec<std::uint32_t, 16> link_pos;  ///< index in link_flows_[links[i]]
-    std::coroutine_handle<> waiter{};      ///< transfer_flow path
-    SimPromiseV promise;                   ///< transfer path
+    std::coroutine_handle<> waiter{};      ///< resumed on completion
   };
 
   /// Back-reference stored in a link's flow set: which flow, and which
@@ -213,11 +208,6 @@ class FlowNetwork {
     double time;
     std::uint32_t flow;
     std::uint32_t gen;
-  };
-
-  struct Completion {
-    SimPromiseV promise;
-    std::coroutine_handle<> waiter{};
   };
 
   [[nodiscard]] double link_capacity(LinkId link) const noexcept;
@@ -274,7 +264,7 @@ class FlowNetwork {
 
   std::vector<CompletionEntry> cheap_;  ///< lazy completion min-heap
   std::vector<CompletionEntry> pending_;  ///< scratch: predictions to insert
-  std::vector<Completion> done_;        ///< scratch: completions to fire
+  std::vector<std::coroutine_handle<>> done_;  ///< scratch: to resume
   std::vector<std::uint32_t> comp_flows_;  ///< scratch: max-min component
   std::vector<double> residual_;           ///< scratch: max-min filling
   std::vector<int> active_share_;          ///< scratch: max-min filling

@@ -16,52 +16,17 @@
 #include "core/error.hpp"
 #include "core/hostprof.hpp"
 #include "obsv/attrib.hpp"
+#include "obsv/json.hpp"
 #include "obsv/telemetry.hpp"
 
 namespace xts::obsv {
 
 namespace {
 
-// Only span names reach the JSON, and those are simple identifiers —
-// but escape defensively so a hostile phase name cannot corrupt the
-// file.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Simulated seconds -> Chrome microseconds, printed with enough digits
 // to round-trip a double exactly (the 1e-9 span-sum check depends on
 // this).
-std::string us(SimTime t) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", t * 1e6);
-  return buf;
-}
-
-std::string gnum(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+std::string us(SimTime t) { return gnum(t * 1e6); }
 
 struct Emitter {
   std::ostream& os;
@@ -252,12 +217,6 @@ Table scenario_cache_table() {
   put("writes", s.writes);
   put("corrupt", s.corrupt);
   put("bypassed", s.bypassed);
-  reg.counter("cache.warm", "builds")
-      .add(static_cast<double>(
-          s.warm_builds.load(std::memory_order_relaxed)));
-  reg.counter("cache.warm", "shares")
-      .add(static_cast<double>(
-          s.warm_shares.load(std::memory_order_relaxed)));
   return metrics_table(reg, "scenario cache");
 }
 

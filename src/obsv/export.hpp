@@ -39,7 +39,7 @@ void write_chrome_trace_file(const Session& session,
 [[nodiscard]] Table host_table();
 
 /// Scenario-result cache counters (core/cache_stats.hpp) as a
-/// `cache.scenario.*` / `cache.warm.*` block.  Like host_table(), the
+/// `cache.scenario.*` block.  Like host_table(), the
 /// values describe host state (what was already cached on disk), not
 /// the simulation, so check_determinism.py scrubs this block from
 /// stdout — the deterministic registry metrics stay byte-identical

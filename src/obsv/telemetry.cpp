@@ -209,9 +209,7 @@ std::string breakdown_json_locked(State& s) {
          ",\"dedups\":" + load(cs.dedups) +
          ",\"writes\":" + load(cs.writes) +
          ",\"corrupt\":" + load(cs.corrupt) +
-         ",\"bypassed\":" + load(cs.bypassed) +
-         ",\"warm_builds\":" + load(cs.warm_builds) +
-         ",\"warm_shares\":" + load(cs.warm_shares) + "}";
+         ",\"bypassed\":" + load(cs.bypassed) + "}";
   }
   r += "}";
   return r;

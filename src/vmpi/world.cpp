@@ -170,65 +170,42 @@ void World::build_placement() {
       cfg_.mode == ExecMode::kSN ? 1 : cfg_.machine.cores_per_node;
   const int nnodes = node_count();
 
-  // Warm start: the table is a pure function of the shape below, so
-  // Worlds of the same shape — across sweep points, and across threads
-  // within one sweep — share one immutable copy (cache/warm.hpp).
-  // Seed only keys random placement; deterministic policies share
-  // across seeds.
-  cache::PlacementShape shape;
-  shape.nranks = cfg_.nranks;
-  shape.nnodes = nnodes;
-  shape.cores_active = cores_active;
-  shape.placement = static_cast<int>(cfg_.placement);
-  shape.seed = cfg_.placement == Placement::kRandom ? cfg_.seed : 0;
+  rank_node_.resize(static_cast<std::size_t>(cfg_.nranks));
+  rank_core_.resize(static_cast<std::size_t>(cfg_.nranks));
 
-  placement_ = cache::shared_placement(shape, [&] {
-    cache::PlacementTable t;
-    t.rank_node.resize(static_cast<std::size_t>(cfg_.nranks));
-    t.rank_core.resize(static_cast<std::size_t>(cfg_.nranks));
+  std::vector<int> node_order(static_cast<std::size_t>(nnodes));
+  std::iota(node_order.begin(), node_order.end(), 0);
+  if (cfg_.placement == Placement::kRandom) {
+    Rng rng(cfg_.seed);
+    for (std::size_t i = node_order.size(); i > 1; --i)
+      std::swap(node_order[i - 1], node_order[rng.below(i)]);
+  }
 
-    std::vector<int> node_order(static_cast<std::size_t>(nnodes));
-    std::iota(node_order.begin(), node_order.end(), 0);
-    if (cfg_.placement == Placement::kRandom) {
-      Rng rng(cfg_.seed);
-      for (std::size_t i = node_order.size(); i > 1; --i)
-        std::swap(node_order[i - 1], node_order[rng.below(i)]);
+  for (int r = 0; r < cfg_.nranks; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    if (cfg_.placement == Placement::kRoundRobin) {
+      // Spread consecutive ranks across nodes first.
+      rank_node_[ri] = static_cast<std::int32_t>(r % nnodes);
+      rank_core_[ri] = static_cast<std::uint8_t>(r / nnodes);
+    } else {
+      const int slot = r / cores_active;
+      rank_node_[ri] = static_cast<std::int32_t>(
+          node_order[static_cast<std::size_t>(slot % nnodes)]);
+      rank_core_[ri] = static_cast<std::uint8_t>(r % cores_active);
     }
-
-    for (int r = 0; r < cfg_.nranks; ++r) {
-      int slot;
-      if (cfg_.placement == Placement::kRoundRobin) {
-        // Spread consecutive ranks across nodes first.
-        slot = r;
-        t.rank_node[static_cast<std::size_t>(r)] =
-            static_cast<std::int32_t>(slot % nnodes);
-        t.rank_core[static_cast<std::size_t>(r)] =
-            static_cast<std::uint8_t>(slot / nnodes);
-      } else {
-        slot = r / cores_active;
-        t.rank_node[static_cast<std::size_t>(r)] =
-            static_cast<std::int32_t>(node_order[static_cast<std::size_t>(
-                slot % nnodes)]);
-        t.rank_core[static_cast<std::size_t>(r)] =
-            static_cast<std::uint8_t>(r % cores_active);
-      }
-    }
-    return t;
-  });
+  }
 }
 
 net::NodeId World::node_of(int rank) const {
   if (rank < 0 || rank >= cfg_.nranks)
     throw UsageError("World::node_of: bad rank " + std::to_string(rank));
-  return static_cast<net::NodeId>(
-      placement_->rank_node[static_cast<std::size_t>(rank)]);
+  return static_cast<net::NodeId>(rank_node_[static_cast<std::size_t>(rank)]);
 }
 
 int World::core_of(int rank) const {
   if (rank < 0 || rank >= cfg_.nranks)
     throw UsageError("World::core_of: bad rank " + std::to_string(rank));
-  return static_cast<int>(
-      placement_->rank_core[static_cast<std::size_t>(rank)]);
+  return static_cast<int>(rank_core_[static_cast<std::size_t>(rank)]);
 }
 
 machine::Node& World::node(int rank) {
@@ -333,12 +310,6 @@ bool World::matches(const PostedRecv& r, const Message& m) const {
 
 void World::deliver(int dst, Message msg) {
   ++messages_delivered_;
-  if (cfg_.enable_trace) {
-    // comm-relative src is enough for the world comm; subgroup sources
-    // are recorded as-is and flagged internal when from a collective.
-    trace_.push_back(TraceRecord{msg.src, dst, msg.bytes, engine_.now(),
-                                 tags::is_internal(msg.tag)});
-  }
   SlotChain& posted = posted_[static_cast<std::size_t>(dst)];
   std::uint32_t prev = SlotChain::kNil;
   for (std::uint32_t it = posted.head; it != SlotChain::kNil;

@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/warm.hpp"
 #include "core/engine.hpp"
 #include "core/rng.hpp"
 #include "core/slot_pool.hpp"
@@ -54,18 +53,6 @@ struct WorldConfig {
   std::uint64_t seed = 0x5eed;
   net::TorusDims dims{};  ///< all-zero => choose automatically
   net::Fairness fairness = net::Fairness::kMinShare;
-  bool enable_trace = false;  ///< record every delivered message
-};
-
-/// One delivered message (legacy trace mode).  Kept as a thin
-/// compatibility view over delivery; the span-level breakdown lives in
-/// the obsv::Session trace (see docs/OBSERVABILITY.md).
-struct TraceRecord {
-  int src_world = 0;
-  int dst_world = 0;
-  double bytes = 0.0;
-  SimTime delivered_at = 0.0;
-  bool internal = false;  ///< collective-internal traffic
 };
 
 class World {
@@ -119,10 +106,6 @@ class World {
     return messages_delivered_;
   }
   [[nodiscard]] double bytes_sent() const noexcept { return bytes_sent_; }
-  /// Message log (empty unless WorldConfig::enable_trace).
-  [[nodiscard]] const std::vector<TraceRecord>& trace() const noexcept {
-    return trace_;
-  }
   /// Observability handle — null unless an obsv::Session was active
   /// when this World was constructed.
   [[nodiscard]] obsv::WorldObs* obs() const noexcept { return obs_; }
@@ -153,13 +136,8 @@ class World {
   // worlds: narrow element types, chain handles instead of per-rank
   // containers, shared slabs for anything whose population tracks
   // in-flight traffic rather than rank count.
-  //
-  // The rank->(node, core) placement is immutable after construction
-  // and a pure function of the platform shape, so it is shared across
-  // all concurrently-live Worlds of that shape (cache/warm.hpp) — the
-  // warm-start half of the scenario cache, and the largest per-World
-  // allocation that does not track traffic.
-  std::shared_ptr<const cache::PlacementTable> placement_;
+  std::vector<std::int32_t> rank_node_;  ///< placement, by rank
+  std::vector<std::uint8_t> rank_core_;  ///< cores_per_node <= 255
   SlotPool<Message> msg_pool_;        ///< unexpected-queue slab
   SlotPool<PostedRecv> recv_pool_;    ///< posted-recv slab
   std::vector<SlotChain> unexpected_;  ///< per dst rank, into msg_pool_
@@ -167,7 +145,6 @@ class World {
   std::vector<std::unique_ptr<Comm>> world_comms_;
   std::uint64_t messages_delivered_ = 0;
   double bytes_sent_ = 0.0;
-  std::vector<TraceRecord> trace_;
   int ranks_finished_ = 0;
   // Always-on (cheap) blocked-rank bookkeeping for deadlock reporting.
   std::vector<std::uint8_t> rank_done_;

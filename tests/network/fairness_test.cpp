@@ -29,7 +29,7 @@ ThreeFlowTimes run_three_flows(Fairness fairness, double link_bw) {
   auto start = [&](NodeId s, NodeId d, double bytes, SimTime& out) {
     spawn(e, [](Engine& eng, FlowNetwork& n, NodeId src, NodeId dst,
                 double b, SimTime& o) -> Task<void> {
-      (void)co_await n.transfer(src, dst, b);
+      co_await n.transfer_flow(src, dst, b);
       o = eng.now();
     }(e, net, s, d, bytes, out));
   };
@@ -66,14 +66,14 @@ TEST(Fairness, MaxMinRedistributesBottleneckSlack) {
     FlowNetwork net(eng, Torus3D({8, 1, 1}), cfg);
     for (int i = 0; i < 3; ++i) {  // A, D, E: 0 -> 1
       spawn(eng, [](FlowNetwork& n) -> Task<void> {
-        (void)co_await n.transfer(0, 1, 10.0);
+        co_await n.transfer_flow(0, 1, 10.0);
       }(net));
     }
     spawn(eng, [](FlowNetwork& n) -> Task<void> {  // B: 0 -> 2
-      (void)co_await n.transfer(0, 2, 10.0);
+      co_await n.transfer_flow(0, 2, 10.0);
     }(net));
     spawn(eng, [](Engine& en, FlowNetwork& n, SimTime& out) -> Task<void> {
-      (void)co_await n.transfer(1, 2, 40.0);  // C: 1 -> 2
+      co_await n.transfer_flow(1, 2, 40.0);  // C: 1 -> 2
       out = en.now();
     }(eng, net, c_times[pass]));
     eng.run();
@@ -99,7 +99,7 @@ TEST(Fairness, BothPoliciesConserveBytes) {
       total += bytes;
       spawn(e, [](FlowNetwork& n, NodeId src, NodeId dst, double b)
                    -> Task<void> {
-        (void)co_await n.transfer(src, dst, b);
+        co_await n.transfer_flow(src, dst, b);
       }(net, s, d, bytes));
     }
     e.run();
@@ -122,7 +122,7 @@ TEST(Fairness, MaxMinNeverOversubscribesTheSharedLink) {
     for (int i = 0; i < 6; ++i) {
       spawn(e, [](Engine& eng, FlowNetwork& n, NodeId src, SimTime& out)
                    -> Task<void> {
-        (void)co_await n.transfer(src, 0, 4.0);
+        co_await n.transfer_flow(src, 0, 4.0);
         out = eng.now();
       }(e, net, static_cast<NodeId>(2 + i), done[static_cast<size_t>(i)]));
     }

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/future.hpp"
 #include "core/rng.hpp"
 #include "core/task.hpp"
 
@@ -24,7 +25,7 @@ SimTime run_one_transfer(Engine& e, FlowNetwork& net, NodeId src, NodeId dst,
   SimTime done = -1.0;
   spawn(e, [](Engine& eng, FlowNetwork& n, NodeId s, NodeId d, double b,
               SimTime& out) -> Task<void> {
-    (void)co_await n.transfer(s, d, b);
+    co_await n.transfer_flow(s, d, b);
     out = eng.now();
   }(e, net, src, dst, bytes, done));
   e.run();
@@ -54,7 +55,7 @@ TEST(FlowNetwork, ZeroByteTransferCompletesImmediately) {
 TEST(FlowNetwork, NegativeSizeThrows) {
   Engine e;
   FlowNetwork net(e, Torus3D({2, 1, 1}), cfg());
-  EXPECT_THROW((void)net.transfer(0, 1, -1.0), UsageError);
+  EXPECT_THROW((void)net.transfer_flow(0, 1, -1.0), UsageError);
 }
 
 TEST(FlowNetwork, TwoFlowsShareInjectionLink) {
@@ -66,7 +67,7 @@ TEST(FlowNetwork, TwoFlowsShareInjectionLink) {
   for (int i = 0; i < 2; ++i) {
     spawn(e, [](Engine& eng, FlowNetwork& n, NodeId d, SimTime& out)
                  -> Task<void> {
-      (void)co_await n.transfer(0, d, 4.0);
+      co_await n.transfer_flow(0, d, 4.0);
       out = eng.now();
     }(e, net, dst[i], done[static_cast<size_t>(i)]));
   }
@@ -86,7 +87,7 @@ TEST(FlowNetwork, DisjointFlowsDoNotInterfere) {
   for (int i = 0; i < 2; ++i) {
     spawn(e, [](Engine& eng, FlowNetwork& n, NodeId s, NodeId d,
                 SimTime& out) -> Task<void> {
-      (void)co_await n.transfer(s, d, 8.0);
+      co_await n.transfer_flow(s, d, 8.0);
       out = eng.now();
     }(e, net, srcs[i], dsts[i], done[static_cast<size_t>(i)]));
   }
@@ -101,12 +102,12 @@ TEST(FlowNetwork, LateFlowSlowsSharedLink) {
   FlowNetwork net(e, Torus3D({8, 1, 1}), cfg(2.0, 100.0));
   SimTime first = -1.0, second = -1.0;
   spawn(e, [](Engine& eng, FlowNetwork& n, SimTime& out) -> Task<void> {
-    (void)co_await n.transfer(0, 2, 8.0);
+    co_await n.transfer_flow(0, 2, 8.0);
     out = eng.now();
   }(e, net, first));
   spawn(e, [](Engine& eng, FlowNetwork& n, SimTime& out) -> Task<void> {
     co_await Delay(eng, 2.0);
-    (void)co_await n.transfer(1, 2, 2.0);
+    co_await n.transfer_flow(1, 2, 2.0);
     out = eng.now();
   }(e, net, second));
   e.run();
@@ -134,7 +135,7 @@ TEST(FlowNetwork, ConservationAcrossManyRandomFlows) {
     spawn(e, [](Engine& eng, FlowNetwork& n, NodeId s, NodeId d, double b,
                 int delay, int& count) -> Task<void> {
       co_await Delay(eng, 0.25 * delay);
-      (void)co_await n.transfer(s, d, b);
+      co_await n.transfer_flow(s, d, b);
       ++count;
     }(e, net, src, dst, bytes, i % 7, finished));
   }
@@ -164,7 +165,7 @@ TEST(FlowNetwork, DeterministicReplay) {
       if (s == d) d = (d + 1) % 16;
       spawn(e, [](Engine& eng, FlowNetwork& n, NodeId src, NodeId dst,
                   double b, std::vector<SimTime>& log) -> Task<void> {
-        (void)co_await n.transfer(src, dst, b);
+        co_await n.transfer_flow(src, dst, b);
         log.push_back(eng.now());
       }(e, net, s, d, 1.0 + i, done));
     }
@@ -188,7 +189,7 @@ TEST_P(FlowFairness, BottleneckSharedEqually) {
     const auto src = static_cast<NodeId>(2 + i);
     spawn(e, [](Engine& eng, FlowNetwork& net2, NodeId s, SimTime& out)
                  -> Task<void> {
-      (void)co_await net2.transfer(s, 1, 4.0);
+      co_await net2.transfer_flow(s, 1, 4.0);
       out = eng.now();
     }(e, net, src, done[static_cast<size_t>(i)]));
   }
@@ -212,7 +213,7 @@ TEST(FlowNetwork, SameInstantArrivalsCoalesceIntoOnePass) {
     const auto dst = static_cast<NodeId>(2 * i + 1);
     spawn(e, [](FlowNetwork& n, NodeId s, NodeId d, int& count)
                  -> Task<void> {
-      (void)co_await n.transfer(s, d, 8.0);
+      co_await n.transfer_flow(s, d, 8.0);
       ++count;
     }(net, src, dst, finished));
   }
@@ -235,8 +236,8 @@ TEST(FlowNetwork, SameInstantCompletionsFireInFlowSlotOrder) {
   for (int i = 0; i < 4; ++i) {
     spawn(e, [](Engine& eng, FlowNetwork& n, int idx, std::vector<int>& ord,
                 std::vector<SimTime>& at) -> Task<void> {
-      (void)co_await n.transfer(static_cast<NodeId>(2 * idx),
-                                static_cast<NodeId>(2 * idx + 1), 16.0);
+      co_await n.transfer_flow(static_cast<NodeId>(2 * idx),
+                               static_cast<NodeId>(2 * idx + 1), 16.0);
       ord.push_back(idx);
       at[static_cast<std::size_t>(idx)] = eng.now();
     }(e, net, i, order, done));
@@ -263,7 +264,7 @@ TEST(FlowNetwork, FairnessPoliciesDivergeWhenBottleneckStrandsCapacity) {
     Result r{};
     auto xfer = [](Engine& eng, FlowNetwork& n, NodeId s, NodeId d,
                    double bytes, SimTime& out) -> Task<void> {
-      (void)co_await n.transfer(s, d, bytes);
+      co_await n.transfer_flow(s, d, bytes);
       out = eng.now();
     };
     spawn(e, xfer(e, net, 0, 1, 6.0, r.a));
@@ -313,7 +314,7 @@ TEST_P(FlowChurnModes, ConservesBytesAndTearsDownCleanly) {
     spawn(e, [](Engine& eng, FlowNetwork& n, NodeId s, NodeId d, double b,
                 int delay, int& count) -> Task<void> {
       co_await Delay(eng, 0.3 * delay);
-      (void)co_await n.transfer(s, d, b);
+      co_await n.transfer_flow(s, d, b);
       ++count;
     }(e, net, src, dst, bytes, i % 11, finished));
   }
@@ -348,7 +349,7 @@ TEST(FlowNetwork, IncrementalMatchesFullPassCompletionTimes) {
       spawn(e, [](Engine& eng, FlowNetwork& n, NodeId src, NodeId dst,
                   double b, int delay, SimTime& out) -> Task<void> {
         co_await Delay(eng, 0.5 * delay);
-        (void)co_await n.transfer(src, dst, b);
+        co_await n.transfer_flow(src, dst, b);
         out = eng.now();
       }(e, net, s, d, 1.0 + i % 13, i % 5,
         done[static_cast<std::size_t>(i)]));
@@ -405,7 +406,7 @@ TEST(FlowNetwork, LinkStatsBusyAndContention) {
   for (int i = 0; i < 2; ++i) {
     spawn(e, [](Engine& eng, FlowNetwork& n, NodeId d, SimTime& out)
                  -> Task<void> {
-      (void)co_await n.transfer(0, d, 4.0);
+      co_await n.transfer_flow(0, d, 4.0);
       out = eng.now();
     }(e, net, dst[i], done[static_cast<std::size_t>(i)]));
   }

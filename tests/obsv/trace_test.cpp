@@ -90,7 +90,6 @@ TEST(SessionE2E, MessageSpansTileDeliveryWindow) {
     vmpi::WorldConfig cfg;
     cfg.machine = machine::xt4();
     cfg.nranks = 4;
-    cfg.enable_trace = true;  // legacy record path rides along
     vmpi::World w(std::move(cfg));
     ASSERT_NE(w.obs(), nullptr);
     w.run([](vmpi::Comm& c) -> Task<void> {
@@ -142,8 +141,6 @@ TEST(SessionE2E, MessageSpansTileDeliveryWindow) {
     EXPECT_GE(msgs.size(), 8u);
     for (const auto& [id, win] : msgs)
       EXPECT_NEAR(win.covered, win.hi - win.lo, 1e-9) << "msg " << id;
-    // Legacy TraceRecord view still works alongside the span trace.
-    EXPECT_EQ(w.trace().size(), w.messages_delivered());
   }
   // The World pushed its network summary on destruction: ejection-link
   // bytes must equal what the flow network delivered.

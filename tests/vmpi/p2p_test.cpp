@@ -226,5 +226,21 @@ TEST(P2p, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
 
+TEST(Trace, PeakFlowsTracked) {
+  WorldConfig cfg;
+  cfg.machine = machine::xt4();
+  cfg.mode = machine::ExecMode::kSN;
+  cfg.nranks = 8;
+  World w(std::move(cfg));
+  w.run([](Comm& c) -> Task<void> {
+    // All ranks exchange with their opposite: 8 simultaneous flows.
+    const int partner = c.size() - 1 - c.rank();
+    auto f = co_await c.send(partner, 0, 1.0e6);
+    (void)co_await c.recv(partner, 0);
+    (void)co_await std::move(f);
+  });
+  EXPECT_GE(w.network().peak_flows(), 4u);
+}
+
 }  // namespace
 }  // namespace xts::vmpi

@@ -1,77 +1,39 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "machine/presets.hpp"
+#include "obsv/session.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/world.hpp"
 
 namespace xts::vmpi {
 namespace {
 
-TEST(Trace, DisabledByDefault) {
-  WorldConfig cfg;
-  cfg.machine = machine::xt4();
-  cfg.nranks = 2;
-  World w(std::move(cfg));
-  w.run([](Comm& c) -> Task<void> {
-    if (c.rank() == 0) co_await c.send_wait(1, 0, 64.0);
-    else (void)co_await c.recv(0, 0);
-  });
-  EXPECT_TRUE(w.trace().empty());
-}
-
-TEST(Trace, RecordsDeliveredMessages) {
-  WorldConfig cfg;
-  cfg.machine = machine::xt4();
-  cfg.nranks = 2;
-  cfg.enable_trace = true;
-  World w(std::move(cfg));
-  w.run([](Comm& c) -> Task<void> {
-    if (c.rank() == 0) {
-      co_await c.send_wait(1, 0, 64.0);
-      co_await c.send_wait(1, 1, 128.0);
-    } else {
-      (void)co_await c.recv(0, 0);
-      (void)co_await c.recv(0, 1);
-    }
-  });
-  ASSERT_EQ(w.trace().size(), 2u);
-  EXPECT_EQ(w.trace()[0].src_world, 0);
-  EXPECT_EQ(w.trace()[0].dst_world, 1);
-  EXPECT_DOUBLE_EQ(w.trace()[0].bytes, 64.0);
-  EXPECT_FALSE(w.trace()[0].internal);
-  EXPECT_GT(w.trace()[1].delivered_at, w.trace()[0].delivered_at);
-}
-
-TEST(Trace, FlagsCollectiveTrafficAsInternal) {
-  WorldConfig cfg;
-  cfg.machine = machine::xt4();
-  cfg.nranks = 4;
-  cfg.enable_trace = true;
-  World w(std::move(cfg));
-  w.run([](Comm& c) -> Task<void> {
-    std::vector<double> v(1, 1.0);
-    (void)co_await c.allreduce_sum(std::move(v));
-  });
-  ASSERT_FALSE(w.trace().empty());
-  for (const auto& rec : w.trace()) EXPECT_TRUE(rec.internal);
-}
-
 // Golden trace: the determinism contract.  A mixed round (ring
 // sendrecv, allreduce, alltoall, barrier) over 8 ranks must replay
 // bit-for-bit — identical delivery order, byte counts, and exact
 // double-equal timestamps — across independent Worlds.  Any change to
 // (time, seq) event ordering, flow completion order, or rate
-// arithmetic shows up here.
+// arithmetic shows up here.  Deliveries are read from the obsv span
+// trace: every message ends in a msg.rx span on the receiving rank
+// (preceded by msg.copy when both ranks share a node).
 TEST(Trace, GoldenTraceReplaysBitForBit) {
+  struct StopSession {
+    ~StopSession() { obsv::Session::stop(); }
+  } stop;
+  obsv::Options opt;
+  opt.tracing = true;
+  obsv::Session& session = obsv::Session::start(opt);
+
   auto run = [] {
     WorldConfig cfg;
     cfg.machine = machine::xt4();
     cfg.nranks = 8;
-    cfg.enable_trace = true;
     World w(std::move(cfg));
-    const SimTime makespan = w.run([](Comm& c) -> Task<void> {
+    return w.run([](Comm& c) -> Task<void> {
       const int right = (c.rank() + 1) % c.size();
       {
         auto sent = co_await c.send(right, 0, 4096.0);
@@ -86,38 +48,29 @@ TEST(Trace, GoldenTraceReplaysBitForBit) {
       co_await c.send_wait(right, 1, 1.0e6);
       (void)co_await c.recv(kAnySource, 1);
     });
-    return std::pair<std::vector<TraceRecord>, SimTime>(w.trace(),
-                                                        makespan);
   };
-  const auto [trace_a, end_a] = run();
-  const auto [trace_b, end_b] = run();
+  const SimTime end_a = run();
+  const SimTime end_b = run();
   EXPECT_GT(end_a, 0.0);
   EXPECT_EQ(end_a, end_b);  // exact, not approximate
-  ASSERT_EQ(trace_a.size(), trace_b.size());
-  ASSERT_FALSE(trace_a.empty());
-  for (std::size_t i = 0; i < trace_a.size(); ++i) {
-    EXPECT_EQ(trace_a[i].src_world, trace_b[i].src_world) << i;
-    EXPECT_EQ(trace_a[i].dst_world, trace_b[i].dst_world) << i;
-    EXPECT_EQ(trace_a[i].bytes, trace_b[i].bytes) << i;
-    EXPECT_EQ(trace_a[i].delivered_at, trace_b[i].delivered_at) << i;
-    EXPECT_EQ(trace_a[i].internal, trace_b[i].internal) << i;
-  }
-}
 
-TEST(Trace, PeakFlowsTracked) {
-  WorldConfig cfg;
-  cfg.machine = machine::xt4();
-  cfg.mode = machine::ExecMode::kSN;
-  cfg.nranks = 8;
-  World w(std::move(cfg));
-  w.run([](Comm& c) -> Task<void> {
-    // All ranks exchange with their opposite: 8 simultaneous flows.
-    const int partner = c.size() - 1 - c.rank();
-    auto f = co_await c.send(partner, 0, 1.0e6);
-    (void)co_await c.recv(partner, 0);
-    (void)co_await std::move(f);
+  // (name, lane, t1, bytes) of every delivery span, in emission order,
+  // per World ordinal.
+  using Delivery = std::tuple<std::uint32_t, std::int32_t, SimTime, double>;
+  std::vector<Delivery> spans[2];
+  const std::uint32_t rx = session.sink().intern("msg.rx");
+  const std::uint32_t copy = session.sink().intern("msg.copy");
+  EXPECT_EQ(session.sink().dropped(), 0u);
+  session.sink().for_each([&](const obsv::TraceEvent& e) {
+    if (e.cat != obsv::Cat::kMessage || (e.name != rx && e.name != copy))
+      return;
+    ASSERT_LT(e.world, 2u);
+    spans[e.world].emplace_back(e.name, e.lane, e.t1, e.a0);
   });
-  EXPECT_GE(w.network().peak_flows(), 4u);
+  ASSERT_FALSE(spans[0].empty());
+  ASSERT_EQ(spans[0].size(), spans[1].size());
+  for (std::size_t i = 0; i < spans[0].size(); ++i)
+    EXPECT_EQ(spans[0][i], spans[1][i]) << i;
 }
 
 }  // namespace
