@@ -40,7 +40,8 @@ armed (--metrics plus --trace= and --profile= to scratch files), and
 the armed/plain ratio is stored per bench.  With --check it enforces
 the observability-overhead gate: the armed run may cost at most
 IO_OBSV_MAX_RATIO x the plain run plus an IO_OBSV_FIXED_S allowance
-for the session's run-size-independent setup (trace ring allocation).
+for the session's run-size-independent setup (the session, its
+shards and the exporters; trace rings grow only as spans arrive).
 
 --cache records the scenario-result cache payoff under "cache": the
 figs 8-11 sweep bench runs twice against one fresh --cache-dir — cold
@@ -269,10 +270,10 @@ def run_rss(repo_root, build_dir, args):
 IO_BENCHES = ["bench_ior", "bench_checkpoint"]
 IO_ARGS = ["--quick", "--jobs=1"]
 # Gate: armed_s <= RATIO x plain_s + FIXED_S.  The fixed allowance
-# covers session setup that doesn't scale with the run (each shard's
-# trace ring is a ~59 MB up-front allocation, which dominates a
-# sub-second quick sweep); the ratio term catches accidental per-span
-# or per-chunk work creeping into the armed hot path.
+# covers session setup that doesn't scale with the run (the session,
+# its shards and the exporters; trace rings grow only as spans
+# arrive); the ratio term catches accidental per-span or per-chunk
+# work creeping into the armed hot path.
 IO_OBSV_MAX_RATIO = 3.0
 IO_OBSV_FIXED_S = 1.5
 

@@ -5,18 +5,22 @@
 ///
 /// Instrumented code emits *spans* — closed [t0, t1] intervals of
 /// simulated time on a lane (a rank, or a per-world service lane) —
-/// into a bounded ring of compact 48-byte records.  The ring keeps
+/// into a bounded ring of compact 56-byte records.  The ring keeps
 /// full traces bounded at 10k+ ranks: when it wraps, the oldest spans
-/// are overwritten and counted in dropped().  Span names are interned
-/// once; records carry a 32-bit name id plus a correlation id (the
-/// message id, for reassembling a message's tx/hops/flow/rx breakdown)
-/// and two free-form numeric args (bytes, flops, ...).
+/// are overwritten and counted in dropped().  The ring's storage grows
+/// on demand up to its capacity, so a sink that never receives a span
+/// (a metrics- or profile-only session) allocates none.  Span names
+/// are interned once; records carry a 32-bit name id plus a
+/// correlation id (the message id, for reassembling a message's
+/// tx/hops/flow/rx breakdown) and two free-form numeric args (bytes,
+/// flops, ...).
 ///
 /// The sink knows nothing about files; exporters (obsv/export.hpp)
 /// turn its contents into Chrome-trace JSON or CSV.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -69,10 +73,8 @@ class TraceSink {
   void emit(const TraceEvent& e);
 
   /// Spans currently retained (<= capacity).
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return ring_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
   /// Spans overwritten because the ring wrapped.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   /// Account for spans dropped elsewhere (a shard sink that wrapped
@@ -85,22 +87,34 @@ class TraceSink {
   /// Visit retained spans oldest-first without materializing a copy.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < count_; ++i)
-      fn(ring_[(head_ + i) % ring_.size()]);
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+      fn(ring_[(head_ + i) % cap_]);
   }
 
-  /// Drop all spans (interned names are kept).
+  /// Drop all spans (interned names and grown storage are kept).
   void clear();
 
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
  private:
+  /// Hashes std::string and std::string_view alike, so intern() looks
+  /// names up without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::size_t cap_;  ///< most spans retained
+  /// Retained spans.  Below cap_ the ring has never wrapped: emit()
+  /// appends and head_ stays 0.  At cap_ it wraps in place.
   std::vector<TraceEvent> ring_;
-  std::size_t head_ = 0;   ///< oldest retained span
-  std::size_t count_ = 0;  ///< retained spans
+  std::size_t head_ = 0;  ///< oldest retained span
   std::uint64_t dropped_ = 0;
   std::vector<std::string> names_;
-  std::unordered_map<std::string, std::uint32_t> name_ids_;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      name_ids_;
 };
 
 }  // namespace xts::obsv

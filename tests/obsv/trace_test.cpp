@@ -9,6 +9,7 @@
 #include "obsv/export.hpp"
 #include "obsv/session.hpp"
 #include "obsv/trace.hpp"
+#include "runner/sweep.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/world.hpp"
 
@@ -57,6 +58,55 @@ TEST(TraceSink, ClearKeepsInternedNames) {
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(sink.dropped(), 0u);
   EXPECT_EQ(sink.name(id), "keep");
+}
+
+std::vector<double> starts(const TraceSink& sink) {
+  std::vector<double> out;
+  sink.for_each([&](const TraceEvent& e) { out.push_back(e.t0); });
+  return out;
+}
+
+/// The ring's storage is allocated as spans arrive, so a capacity far
+/// beyond host memory is fine until it is used.
+TEST(TraceSink, HugeCapacityCostsNothingUntilUsed) {
+  const std::size_t huge = std::size_t{1} << 40;
+  TraceSink sink(huge);
+  EXPECT_EQ(sink.capacity(), huge);
+  EXPECT_EQ(sink.size(), 0u);
+  for (int i = 0; i < 3; ++i)
+    sink.emit(ev(static_cast<double>(i), i + 1.0, 0));
+  EXPECT_EQ(sink.size(), 3u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(starts(sink), (std::vector<double>{0.0, 1.0, 2.0}));
+}
+
+/// Growing below capacity, wrapping at it, and refilling after clear()
+/// retain the same window and drop count as a fixed ring would.
+TEST(TraceSink, GrowthThenWrapMatchesFixedRing) {
+  TraceSink sink(5);
+  int next = 0;
+  auto emit = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next)
+      sink.emit(ev(static_cast<double>(next), next + 1.0, 0));
+  };
+  emit(3);
+  EXPECT_EQ(starts(sink), (std::vector<double>{0.0, 1.0, 2.0}));
+  EXPECT_EQ(sink.dropped(), 0u);
+  emit(4);
+  EXPECT_EQ(sink.size(), 5u);
+  EXPECT_EQ(starts(sink), (std::vector<double>{2.0, 3.0, 4.0, 5.0, 6.0}));
+  EXPECT_EQ(sink.dropped(), 2u);
+  sink.clear();
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  emit(7);
+  EXPECT_EQ(sink.capacity(), 5u);
+  EXPECT_EQ(starts(sink),
+            (std::vector<double>{9.0, 10.0, 11.0, 12.0, 13.0}));
+  EXPECT_EQ(sink.dropped(), 2u);
+  std::vector<double> snap;
+  for (const TraceEvent& e : sink.snapshot()) snap.push_back(e.t0);
+  EXPECT_EQ(snap, starts(sink));
 }
 
 TEST(Session, LifecycleAndRegistration) {
@@ -158,6 +208,37 @@ TEST(SessionE2E, MessageSpansTileDeliveryWindow) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"xtsim\""), std::string::npos);
   EXPECT_NE(json.find("test.phase"), std::string::npos);
+  Session::stop();
+}
+
+/// A metrics-only sweep emits no spans, so neither the session nor its
+/// per-point shards allocate a ring, however large the capacity.
+TEST(Session, MetricsOnlySweepAllocatesNoRing) {
+  Options opt;
+  opt.metrics = true;
+  opt.trace_capacity = std::size_t{1} << 40;
+  Session& session = Session::start(opt);
+  auto point = [] {
+    vmpi::WorldConfig cfg;
+    cfg.machine = machine::xt4();
+    cfg.nranks = 8;
+    vmpi::World w(std::move(cfg));
+    w.run([](vmpi::Comm& c) -> Task<void> {
+      co_await c.send_wait((c.rank() + 1) % c.size(), 0, 4096.0);
+      (void)co_await c.recv(vmpi::kAnySource, 0);
+    });
+    return w.messages_delivered();
+  };
+  const std::vector<std::uint64_t> delivered =
+      runner::sweep(std::vector<std::function<std::uint64_t()>>{point, point},
+                    2);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                session.registry().counter_total("msg.count")),
+            delivered[0] + delivered[1]);
+  EXPECT_GT(delivered[0], 0u);
+  EXPECT_EQ(session.sink().size(), 0u);
+  EXPECT_EQ(session.sink().capacity(), opt.trace_capacity);
   Session::stop();
 }
 
