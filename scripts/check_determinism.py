@@ -24,8 +24,10 @@ Three axes, selected with --vary:
                         produce identical simulated bytes: a replayed
                         sweep point is indistinguishable from a live
                         one.  This axis omits --trace (tracing runs
-                        bypass the scenario cache by design) and fails
-                        if the cold run stored no entries.
+                        bypass the scenario cache by design).  The cold
+                        leg's cache counters must show it wrote each
+                        stored .xtsc entry, the warm leg's that it hit
+                        each one and missed, wrote and corrupted none.
 
 The "== host resources ==" block (getrusage gauges appended by
 --metrics) and the "== scenario cache ==" block (hit/miss counters of
@@ -97,7 +99,22 @@ def run_once(bench, args, axis_flags, trace_path, profile_path):
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return scrub_stdout(proc.stdout)
+    return proc.stdout
+
+
+def check_cache_counters(label, text, want):
+    """Compare the cache.scenario counters of a --metrics stdout."""
+    head = "== scenario cache ==\n"
+    if head not in text:
+        fail(f"{label}: no '== scenario cache ==' block in the output")
+    block = text.split(head, 1)[1].split("\n\n", 1)[0]
+    got = {f[1]: float(f[3]) for f in map(str.split, block.splitlines())
+           if len(f) >= 4 and f[0] == "cache.scenario"
+           and f[2] == "counter"}
+    bad = [f"{k}={got.get(k)} (want {v})" for k, v in want.items()
+           if got.get(k) != v]
+    if bad:
+        fail(f"{label} leg counters: {', '.join(bad)}")
 
 
 def load_scrubbed(path, what):
@@ -126,7 +143,8 @@ def check_cache(bench, rest):
         profiles = []
         for i, (label, flags) in enumerate(legs):
             profile = os.path.join(tmp, f"profile_{i}.json")
-            outs.append(run_once(bench, rest, flags, None, profile))
+            out = run_once(bench, rest, flags, None, profile)
+            outs.append(scrub_stdout(out))
             profiles.append(load_scrubbed(profile, label))
             if label == "cold cache":
                 entries = [f for f in os.listdir(cache_dir)
@@ -134,6 +152,12 @@ def check_cache(bench, rest):
                 if not entries:
                     fail("cold run stored no cache entries — the bench "
                          "is not keying its sweep points")
+                check_cache_counters(label, out,
+                                     {"writes": len(entries), "hits": 0})
+            elif label == "warm cache":
+                check_cache_counters(label, out,
+                                     {"hits": len(entries), "misses": 0,
+                                      "writes": 0, "corrupt": 0})
 
         for i in (1, 2):
             if outs[i] != outs[0]:
@@ -150,7 +174,8 @@ def check_cache(bench, rest):
     name = os.path.basename(bench)
     print(f"check_determinism: OK: {name} {' '.join(rest)} is "
           f"byte-identical with cache off, cold and warm "
-          f"(stdout + metrics + profile, {len(entries)} entries stored)")
+          f"(stdout + metrics + profile); {len(entries)} entries written "
+          f"cold and hit warm")
     return 0
 
 
@@ -192,8 +217,8 @@ def main(argv):
         tn = os.path.join(tmp, "parallel_trace.json")
         p1 = os.path.join(tmp, "serial_profile.json")
         pn = os.path.join(tmp, "parallel_profile.json")
-        out1 = run_once(bench, rest, serial_flags, t1, p1)
-        outn = run_once(bench, rest, parallel_flags, tn, pn)
+        out1 = scrub_stdout(run_once(bench, rest, serial_flags, t1, p1))
+        outn = scrub_stdout(run_once(bench, rest, parallel_flags, tn, pn))
 
         if out1 != outn:
             import difflib

@@ -17,9 +17,9 @@
 ///   u64 payload size   u64 FNV-1a(payload)  payload bytes
 ///
 /// Torn-write hardening: writes go to a unique same-directory temp file
-/// and are renamed into place (the C++ twin of bench_regress.py's
-/// write_json_atomic), so a killed process never leaves a half-written
-/// entry under the final name.  Reads validate every header field and
+/// and are renamed into place (rename(2) within one directory is
+/// atomic), so a killed process never leaves a half-written entry under
+/// the final name.  Reads validate every header field and
 /// the checksum; any mismatch — wrong magic, stale schema, truncation,
 /// bit rot — counts as a miss (ScenarioCacheStats::corrupt), never an
 /// error.  docs/CACHING.md documents the layout and invalidation rules.

@@ -135,7 +135,7 @@ class FlowNetwork {
   /// Current load (flow count) on a link — exposed for tests.
   [[nodiscard]] int link_load(LinkId link) const;
 
-  // -- perf/behavior counters (tests, bench_regress) ---------------------
+  // -- perf/behavior counters (tests, xtbench) ---------------------------
 
   /// Coalesced rate-allocation passes run so far: all same-instant
   /// arrivals/departures share one pass.
