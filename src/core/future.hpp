@@ -26,7 +26,6 @@ template <typename T>
 struct FutureState {
   Engine* engine = nullptr;
   std::optional<T> value;
-  std::exception_ptr error;
   std::coroutine_handle<> waiter{};
   bool consumed = false;
 
@@ -49,8 +48,8 @@ template <typename T>
 class SimPromise {
  public:
   /// Empty promise (no shared state): a placeholder slot that can be
-  /// move-assigned a live promise later.  Calling set_value/set_error
-  /// or future() on it is a usage error.
+  /// move-assigned a live promise later.  Calling set_value or future()
+  /// on it is a usage error.
   SimPromise() noexcept = default;
 
   explicit SimPromise(Engine& engine)
@@ -64,17 +63,8 @@ class SimPromise {
 
   void set_value(T v) const {
     if (!state_) throw UsageError("SimPromise: empty promise");
-    if (state_->value || state_->error)
-      throw UsageError("SimPromise: value already set");
+    if (state_->value) throw UsageError("SimPromise: value already set");
     state_->value.emplace(std::move(v));
-    state_->deliver();
-  }
-
-  void set_error(std::exception_ptr e) const {
-    if (!state_) throw UsageError("SimPromise: empty promise");
-    if (state_->value || state_->error)
-      throw UsageError("SimPromise: value already set");
-    state_->error = std::move(e);
     state_->deliver();
   }
 
@@ -91,9 +81,7 @@ class [[nodiscard]] SimFuture {
   explicit SimFuture(std::shared_ptr<detail::FutureState<T>> s)
       : state_(std::move(s)) {}
 
-  bool await_ready() const noexcept {
-    return state_->value.has_value() || state_->error != nullptr;
-  }
+  bool await_ready() const noexcept { return state_->value.has_value(); }
 
   void await_suspend(std::coroutine_handle<> h) {
     if (state_->waiter)
@@ -104,7 +92,6 @@ class [[nodiscard]] SimFuture {
   T await_resume() {
     if (state_->consumed) throw UsageError("SimFuture: already consumed");
     state_->consumed = true;
-    if (state_->error) std::rethrow_exception(state_->error);
     return std::move(*state_->value);
   }
 

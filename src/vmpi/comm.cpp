@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <string>
 
 namespace xts::vmpi {
@@ -106,10 +105,6 @@ void Comm::check_rank(int r, const char* what) const {
                      ")");
 }
 
-Tag Comm::next_collective_tag(std::uint64_t round) const {
-  return tags::internal(gid_ & 0xFFFFFF, collective_seq_, round);
-}
-
 Task<void> Comm::compute(machine::Work w) {
   // Fast path: no extra coroutine frame unless a session is observing.
   obsv::WorldObs* obs = world_.obs();
@@ -122,8 +117,6 @@ Task<void> Comm::traced_compute(machine::Work w) {
   auto scope = SpanScope(world_, world_rank_, "compute", obsv::Cat::kCompute);
   co_await world_.node(world_rank_).execute(w);
 }
-
-Delay Comm::delay(SimTime dt) { return Delay(world_.engine(), dt); }
 
 Task<SimFutureV> Comm::send(int dst, Tag tag, double bytes) {
   check_rank(dst, "destination");
@@ -282,11 +275,6 @@ Task<std::vector<double>> Comm::allreduce_sum(std::vector<double> contrib,
     auto reduced = co_await reduce_sum(0, std::move(contrib));
     co_return co_await bcast(0, std::move(reduced));
   }
-  if (algo == AllreduceAlgo::kRabenseifner &&
-      contrib.size() % static_cast<std::size_t>(p) == 0) {
-    auto segment = co_await reduce_scatter_block(std::move(contrib));
-    co_return co_await allgather(std::move(segment));
-  }
 
   const std::uint64_t seq = collective_seq_++;
   // Recursive doubling with the standard non-power-of-two fold:
@@ -341,201 +329,6 @@ Task<std::vector<double>> Comm::allreduce_sum(std::vector<double> contrib,
     }
   }
   co_return contrib;
-}
-
-Task<std::vector<double>> Comm::allgather(std::vector<double> mine) {
-  auto coll = coll_scope("coll.allgather");
-  const std::uint64_t seq = collective_seq_++;
-  const int p = size();
-  const std::size_t chunk = mine.size();
-  std::vector<double> result(chunk * static_cast<std::size_t>(p));
-  std::copy(mine.begin(), mine.end(),
-            result.begin() + static_cast<std::ptrdiff_t>(
-                                 chunk * static_cast<std::size_t>(my_index_)));
-  if (p == 1) co_return result;
-
-  // Ring: in round r, pass along the chunk originating at (me - r).
-  const int right = (my_index_ + 1) % p;
-  const int left = (my_index_ - 1 + p) % p;
-  std::vector<double> outgoing = std::move(mine);
-  for (int r = 0; r < p - 1; ++r) {
-    const Tag tag = tags::internal(gid_ & 0xFFFFFF, seq,
-                                   static_cast<std::uint64_t>(r));
-    auto sent = co_await world_.post_send(
-        world_rank_, to_world(right), my_index_, gid_, tag,
-        8.0 * static_cast<double>(outgoing.size()), std::move(outgoing));
-    Message m = co_await world_.match_recv(world_rank_, gid_, left, tag);
-    (void)co_await std::move(sent);
-    if (m.data.size() != chunk)
-      throw UsageError("allgather: contributions must be equal-sized");
-    const int origin = (my_index_ - 1 - r + 2 * p) % p;
-    std::copy(m.data.begin(), m.data.end(),
-              result.begin() + static_cast<std::ptrdiff_t>(
-                                   chunk * static_cast<std::size_t>(origin)));
-    outgoing = std::move(m.data);
-  }
-  co_return result;
-}
-
-Task<std::vector<std::vector<double>>> Comm::alltoall(
-    std::vector<std::vector<double>> chunks) {
-  auto coll = coll_scope("coll.alltoall");
-  const int p = size();
-  if (static_cast<int>(chunks.size()) != p)
-    throw UsageError("alltoall: need exactly size() chunks");
-  const std::uint64_t seq = collective_seq_++;
-  std::vector<std::vector<double>> received(static_cast<std::size_t>(p));
-  received[static_cast<std::size_t>(my_index_)] =
-      std::move(chunks[static_cast<std::size_t>(my_index_)]);
-  // Pairwise exchange: round r talks to (me + r) / (me - r).
-  for (int r = 1; r < p; ++r) {
-    const int to = (my_index_ + r) % p;
-    const int from = (my_index_ - r + p) % p;
-    const Tag tag = tags::internal(gid_ & 0xFFFFFF, seq,
-                                   static_cast<std::uint64_t>(r));
-    auto sent = co_await world_.post_send(
-        world_rank_, to_world(to), my_index_, gid_, tag,
-        8.0 * static_cast<double>(chunks[static_cast<std::size_t>(to)].size()),
-        std::move(chunks[static_cast<std::size_t>(to)]));
-    Message m = co_await world_.match_recv(world_rank_, gid_, from, tag);
-    (void)co_await std::move(sent);
-    received[static_cast<std::size_t>(from)] = std::move(m.data);
-  }
-  co_return received;
-}
-
-Task<std::vector<double>> Comm::gather(int root, std::vector<double> mine) {
-  auto coll = coll_scope("coll.gather");
-  check_rank(root, "root");
-  const std::uint64_t seq = collective_seq_++;
-  const int p = size();
-  const Tag tag = tags::internal(gid_ & 0xFFFFFF, seq, 0);
-  if (my_index_ != root) {
-    auto fut = co_await world_.post_send(
-        world_rank_, to_world(root), my_index_, gid_, tag,
-        8.0 * static_cast<double>(mine.size()), std::move(mine));
-    (void)co_await std::move(fut);
-    co_return std::vector<double>{};
-  }
-  std::vector<std::vector<double>> parts(static_cast<std::size_t>(p));
-  parts[static_cast<std::size_t>(root)] = std::move(mine);
-  for (int i = 1; i < p; ++i) {
-    Message m = co_await world_.match_recv(world_rank_, gid_, kAnySource,
-                                           tag);
-    parts[static_cast<std::size_t>(m.src)] = std::move(m.data);
-  }
-  std::vector<double> all;
-  for (auto& part : parts) all.insert(all.end(), part.begin(), part.end());
-  co_return all;
-}
-
-Task<std::vector<double>> Comm::scatter(int root, std::vector<double> data,
-                                        std::size_t chunk) {
-  auto coll = coll_scope("coll.scatter");
-  check_rank(root, "root");
-  const std::uint64_t seq = collective_seq_++;
-  const int p = size();
-  const Tag tag = tags::internal(gid_ & 0xFFFFFF, seq, 0);
-  if (my_index_ == root) {
-    if (data.size() != chunk * static_cast<std::size_t>(p))
-      throw UsageError("scatter: data must be size() * chunk elements");
-    std::vector<SimFutureV> pending;
-    for (int d = 0; d < p; ++d) {
-      if (d == my_index_) continue;
-      std::vector<double> part(
-          data.begin() + static_cast<std::ptrdiff_t>(chunk * d),
-          data.begin() + static_cast<std::ptrdiff_t>(chunk * (d + 1)));
-      auto fut = co_await world_.post_send(
-          world_rank_, to_world(d), my_index_, gid_, tag,
-          8.0 * static_cast<double>(chunk), std::move(part));
-      pending.push_back(std::move(fut));
-    }
-    for (auto& f : pending) (void)co_await std::move(f);
-    std::vector<double> own(
-        data.begin() + static_cast<std::ptrdiff_t>(chunk * my_index_),
-        data.begin() + static_cast<std::ptrdiff_t>(chunk * (my_index_ + 1)));
-    co_return own;
-  }
-  Message m = co_await world_.match_recv(world_rank_, gid_, root, tag);
-  if (m.data.size() != chunk)
-    throw UsageError("scatter: received chunk size mismatch");
-  co_return std::move(m.data);
-}
-
-Task<std::vector<double>> Comm::reduce_scatter_block(
-    std::vector<double> contrib) {
-  auto coll = coll_scope("coll.reduce_scatter");
-  const int p = size();
-  if (contrib.size() % static_cast<std::size_t>(p) != 0)
-    throw UsageError("reduce_scatter_block: size must divide by ranks");
-  const std::size_t k = contrib.size() / static_cast<std::size_t>(p);
-  const std::uint64_t seq = collective_seq_++;
-  // Pairwise exchange: send my contribution to segment `dst`, receive
-  // and accumulate everyone's contribution to segment `me`.
-  std::vector<double> acc(
-      contrib.begin() + static_cast<std::ptrdiff_t>(k * my_index_),
-      contrib.begin() + static_cast<std::ptrdiff_t>(k * (my_index_ + 1)));
-  for (int s = 1; s < p; ++s) {
-    const int dst = (my_index_ + s) % p;
-    const int src = (my_index_ - s + p) % p;
-    const Tag tag = tags::internal(gid_ & 0xFFFFFF, seq,
-                                   static_cast<std::uint64_t>(s));
-    std::vector<double> part(
-        contrib.begin() + static_cast<std::ptrdiff_t>(k * dst),
-        contrib.begin() + static_cast<std::ptrdiff_t>(k * (dst + 1)));
-    auto sent = co_await world_.post_send(
-        world_rank_, to_world(dst), my_index_, gid_, tag,
-        8.0 * static_cast<double>(k), std::move(part));
-    Message m = co_await world_.match_recv(world_rank_, gid_, src, tag);
-    (void)co_await std::move(sent);
-    sum_into(acc, m.data);
-  }
-  co_return acc;
-}
-
-Task<std::vector<double>> Comm::scan_sum(std::vector<double> contrib) {
-  auto coll = coll_scope("coll.scan");
-  const std::uint64_t seq = collective_seq_++;
-  const Tag tag = tags::internal(gid_ & 0xFFFFFF, seq, 0);
-  // Chain scan: receive prefix from the left, add, pass to the right.
-  if (my_index_ > 0) {
-    Message m =
-        co_await world_.match_recv(world_rank_, gid_, my_index_ - 1, tag);
-    sum_into(contrib, m.data);
-  }
-  if (my_index_ + 1 < size()) {
-    auto fut = co_await world_.post_send(
-        world_rank_, to_world(my_index_ + 1), my_index_, gid_, tag,
-        8.0 * static_cast<double>(contrib.size()), contrib);
-    (void)co_await std::move(fut);
-  }
-  co_return contrib;
-}
-
-Task<std::unique_ptr<Comm>> Comm::split(int color, int key) {
-  // Allgather (color, key) pairs — the way a real MPI implements it.
-  std::vector<double> mine(2);
-  mine[0] = static_cast<double>(color);
-  mine[1] = static_cast<double>(key);
-  auto all = co_await allgather(std::move(mine));
-  if (color < 0) co_return nullptr;  // MPI_UNDEFINED
-  struct Entry {
-    int color, key, rank;
-  };
-  std::vector<Entry> entries;
-  for (int r = 0; r < size(); ++r) {
-    const int c = static_cast<int>(all[static_cast<std::size_t>(2 * r)]);
-    const int k = static_cast<int>(all[static_cast<std::size_t>(2 * r + 1)]);
-    if (c == color) entries.push_back({c, k, r});
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.key != b.key ? a.key < b.key : a.rank < b.rank;
-                   });
-  std::vector<int> members;
-  members.reserve(entries.size());
-  for (const auto& e : entries) members.push_back(to_world(e.rank));
-  co_return subgroup(std::move(members));
 }
 
 Task<void> Comm::alltoallv_bytes(std::vector<double> bytes_to) {

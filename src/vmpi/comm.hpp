@@ -2,19 +2,18 @@
 
 /// \file comm.hpp
 /// Communicator: a rank's handle onto a group of ranks, with
-/// point-to-point operations and real collective algorithms (the ones
-/// 2007-era Cray MPT used):
+/// point-to-point operations and the collective algorithms 2007-era
+/// Cray MPT used:
 ///
 ///   barrier     dissemination
 ///   bcast       binomial tree
 ///   reduce      binomial tree (sum)
 ///   allreduce   recursive doubling (default) or reduce+bcast
-///   allgather   ring
-///   alltoall(v) pairwise exchange
+///   alltoallv   pairwise exchange (timing only)
 ///
-/// All collectives carry and combine real payloads when given one, and
-/// must be called by every member of the group in the same order (as in
-/// MPI).
+/// bcast, reduce and allreduce carry and combine real payloads.  Every
+/// collective must be called by every member of the group in the same
+/// order (as in MPI).
 
 #include <cstdint>
 #include <memory>
@@ -32,7 +31,6 @@ namespace xts::vmpi {
 enum class AllreduceAlgo {
   kRecursiveDoubling,  ///< log P rounds, full vector each round
   kReduceBcast,        ///< binomial reduce to 0, binomial bcast
-  kRabenseifner,       ///< reduce-scatter + allgather (large vectors)
 };
 
 /// RAII span over a rank-local region (application phase, collective,
@@ -82,9 +80,6 @@ class Comm {
   [[nodiscard]] int size() const noexcept {
     return static_cast<int>(members_->size());
   }
-  [[nodiscard]] int world_rank() const noexcept { return world_rank_; }
-  [[nodiscard]] World& world() noexcept { return world_; }
-  [[nodiscard]] Engine& engine() noexcept { return world_.engine(); }
   [[nodiscard]] SimTime now() const noexcept;
 
   /// Create this rank's handle for the subgroup `world_ranks` (every
@@ -98,7 +93,6 @@ class Comm {
 
   /// Execute a work descriptor on this rank's core.
   [[nodiscard]] Task<void> compute(machine::Work w);
-  [[nodiscard]] Delay delay(SimTime dt);
 
   /// Open a named application phase on this rank (e.g. "cam.physics").
   /// Keep the returned scope alive for the duration of the phase; when
@@ -131,40 +125,9 @@ class Comm {
   [[nodiscard]] Task<std::vector<double>> allreduce_sum(
       std::vector<double> contrib,
       AllreduceAlgo algo = AllreduceAlgo::kRecursiveDoubling);
-  /// Ring allgather: returns concatenation ordered by rank; every
-  /// rank's contribution must have the same length.
-  [[nodiscard]] Task<std::vector<double>> allgather(
-      std::vector<double> mine);
-  /// Pairwise-exchange alltoall with payloads: `chunks[d]` goes to rank
-  /// d; returns the chunks received, indexed by source.
-  [[nodiscard]] Task<std::vector<std::vector<double>>> alltoall(
-      std::vector<std::vector<double>> chunks);
   /// Timing-only alltoallv: `bytes_to[d]` bytes to each rank d
   /// (bytes_to.size() == size()).
   [[nodiscard]] Task<void> alltoallv_bytes(std::vector<double> bytes_to);
-  /// Root collects every rank's contribution, ordered by rank
-  /// (returns empty elsewhere).
-  [[nodiscard]] Task<std::vector<double>> gather(int root,
-                                                 std::vector<double> mine);
-  /// Root's `data` (size() equal chunks) is distributed; rank d gets
-  /// chunk d.  `chunk` is the per-rank element count (needed on
-  /// non-root ranks).
-  [[nodiscard]] Task<std::vector<double>> scatter(int root,
-                                                  std::vector<double> data,
-                                                  std::size_t chunk);
-  /// Element-wise sum of all contributions, scattered: rank r returns
-  /// segment r of the sum.  `contrib.size()` must be size() * k.
-  [[nodiscard]] Task<std::vector<double>> reduce_scatter_block(
-      std::vector<double> contrib);
-  /// Inclusive prefix sum by rank: rank r returns sum of contributions
-  /// from ranks 0..r.
-  [[nodiscard]] Task<std::vector<double>> scan_sum(
-      std::vector<double> contrib);
-  /// MPI_Comm_split: ranks with the same `color` form a new
-  /// communicator, ordered by (key, rank).  Implemented with a real
-  /// allgather of (color, key).  Returns nullptr for color < 0
-  /// (MPI_UNDEFINED).  Collective: every member must call it.
-  [[nodiscard]] Task<std::unique_ptr<Comm>> split(int color, int key);
 
  private:
   friend class World;  // constructs world handles over one shared
@@ -174,7 +137,6 @@ class Comm {
        std::uint64_t gid);
 
   [[nodiscard]] int to_world(int comm_rank) const;
-  [[nodiscard]] Tag next_collective_tag(std::uint64_t round) const;
   void check_rank(int r, const char* what) const;
   [[nodiscard]] SpanScope coll_scope(std::string_view name);
   [[nodiscard]] Task<void> traced_compute(machine::Work w);

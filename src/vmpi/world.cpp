@@ -183,16 +183,10 @@ void World::build_placement() {
 
   for (int r = 0; r < cfg_.nranks; ++r) {
     const auto ri = static_cast<std::size_t>(r);
-    if (cfg_.placement == Placement::kRoundRobin) {
-      // Spread consecutive ranks across nodes first.
-      rank_node_[ri] = static_cast<std::int32_t>(r % nnodes);
-      rank_core_[ri] = static_cast<std::uint8_t>(r / nnodes);
-    } else {
-      const int slot = r / cores_active;
-      rank_node_[ri] = static_cast<std::int32_t>(
-          node_order[static_cast<std::size_t>(slot % nnodes)]);
-      rank_core_[ri] = static_cast<std::uint8_t>(r % cores_active);
-    }
+    const int slot = r / cores_active;
+    rank_node_[ri] = static_cast<std::int32_t>(
+        node_order[static_cast<std::size_t>(slot % nnodes)]);
+    rank_core_[ri] = static_cast<std::uint8_t>(r % cores_active);
   }
 }
 

@@ -43,7 +43,7 @@ namespace xts::vmpi {
 class Comm;
 
 /// Rank-to-node placement policy.
-enum class Placement { kBlock, kRoundRobin, kRandom };
+enum class Placement { kBlock, kRandom };
 
 struct WorldConfig {
   machine::MachineConfig machine;

@@ -180,13 +180,5 @@ TEST(Modes, RandomPlacementStillDelivers) {
   EXPECT_EQ(delivered, 8);
 }
 
-TEST(Modes, RoundRobinPlacementSpreadsRanks) {
-  WorldConfig cfg = cfg_for(ExecMode::kVN, 8);
-  cfg.placement = Placement::kRoundRobin;
-  World w(std::move(cfg));
-  // First nnodes ranks land on distinct nodes.
-  EXPECT_NE(w.node_of(0), w.node_of(1));
-}
-
 }  // namespace
 }  // namespace xts::vmpi
