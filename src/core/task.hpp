@@ -4,8 +4,9 @@
 /// C++20 coroutine task type for simulated processes.
 ///
 /// `Task<T>` is a lazy coroutine: nothing runs until it is either
-/// `co_await`ed by another task (structured call) or handed to
-/// `spawn(engine, task)` as a detached root process.  Completion of a
+/// `co_await`ed by another task (structured call), handed to
+/// `spawn(engine, task)` as a detached root process, or started as an
+/// owned root with `Task<void>::start`.  Completion of a
 /// child resumes its parent by symmetric transfer, so arbitrarily deep
 /// call chains cost no native stack.
 ///
@@ -183,6 +184,16 @@ class [[nodiscard]] Task<void> {
 
   std::coroutine_handle<promise_type> release() noexcept {
     return std::exchange(handle_, {});
+  }
+
+  /// Start this task as a root process that the caller keeps owning
+  /// (spawn() gives ownership up): the first resumption is scheduled
+  /// as spawn() schedules it, a finished frame stays parked at
+  /// final_suspend, and destroying this Task destroys the frame whether
+  /// or not it finished.
+  void start(Engine& engine) const {
+    if (!valid()) throw UsageError("Task::start: invalid task");
+    engine.schedule_after(0.0, [h = handle_] { h.resume(); });
   }
 
  private:

@@ -19,6 +19,9 @@ constexpr double kTimeEps = 1e-12;
 /// Cap on the per-class concurrent-flow series (see decimate_samples).
 constexpr std::size_t kMaxClassSamples = std::size_t{1} << 16;
 
+/// LRU route-cache entries, keyed on (src, dst).
+constexpr std::size_t kRouteCacheEntries = 4096;
+
 double completion_time_eps(double now) {
   const double ulp =
       std::nextafter(now, std::numeric_limits<double>::infinity()) - now;
@@ -40,19 +43,17 @@ FlowNetwork::FlowNetwork(Engine& engine, Torus3D topo, NetConfig cfg)
     : engine_(engine),
       topo_(std::move(topo)),
       cfg_(cfg),
-      route_cache_(cfg.route_cache_capacity) {
+      route_cache_(kRouteCacheEntries) {
   if (cfg_.link_bw <= 0.0 || cfg_.injection_bw <= 0.0)
     throw UsageError("FlowNetwork: link and injection bandwidth required");
-  if (cfg_.ejection_bw <= 0.0) cfg_.ejection_bw = cfg_.injection_bw;
   const auto links = static_cast<std::size_t>(topo_.total_link_count());
   link_load_.assign(links, 0);
   link_stamp_.assign(links, 0);
   residual_.assign(links, 0.0);
   active_share_.assign(links, 0);
-  if (cfg_.incremental) link_flows_.resize(links);
+  link_flows_.resize(links);
   stats_on_ = cfg_.link_stats;
   if (stats_on_) stats_.resize(links);
-  last_settle_ = engine_.now();
 }
 
 int FlowNetwork::link_class(LinkId link) const noexcept {
@@ -131,10 +132,7 @@ void FlowNetwork::note_load_dec(LinkId link) {
 }
 
 double FlowNetwork::link_capacity(LinkId link) const noexcept {
-  if (topo_.is_torus_link(link)) return cfg_.link_bw;
-  const int n = topo_.node_count();
-  return (link < topo_.torus_link_count() + n) ? cfg_.injection_bw
-                                               : cfg_.ejection_bw;
+  return topo_.is_torus_link(link) ? cfg_.link_bw : cfg_.injection_bw;
 }
 
 double FlowNetwork::compute_rate(const Flow& f) const noexcept {
@@ -152,14 +150,6 @@ SimTime FlowNetwork::route_latency(NodeId src, NodeId dst) const {
 }
 
 void FlowNetwork::route_for(NodeId src, NodeId dst, Route& out) {
-  get_route(src, dst, out);
-}
-
-void FlowNetwork::get_route(NodeId src, NodeId dst, Route& out) {
-  if (!route_cache_.enabled()) {
-    topo_.route_into(src, dst, out);
-    return;
-  }
   if (route_cache_.lookup(src, dst, out)) return;
   topo_.route_into(src, dst, out);
   route_cache_.insert(src, dst, out);
@@ -179,11 +169,6 @@ void FlowNetwork::start_flow(NodeId src, NodeId dst, double bytes,
 }
 
 std::uint32_t FlowNetwork::add_flow(NodeId src, NodeId dst, double bytes) {
-  // The fallback settles everyone at pre-change rates before the load
-  // changes below; the incremental path settles each flow lazily when
-  // its own rate next changes.
-  if (!cfg_.incremental) settle_all();
-
   std::uint32_t idx;
   if (!free_.empty()) {
     idx = free_.back();
@@ -198,7 +183,7 @@ std::uint32_t FlowNetwork::add_flow(NodeId src, NodeId dst, double bytes) {
   f.rate = 0.0;
   f.last_settle = engine_.now();
   f.in_use = true;
-  get_route(src, dst, f.links);
+  route_for(src, dst, f.links);
   f.link_pos.clear();
   for (std::uint32_t s = 0; s < f.links.size(); ++s) {
     const LinkId l = f.links[s];
@@ -206,11 +191,9 @@ std::uint32_t FlowNetwork::add_flow(NodeId src, NodeId dst, double bytes) {
     ++link_load_[li];
     if (stats_on_) note_load_inc(l);
     mark_link_dirty(l);
-    if (cfg_.incremental) {
-      auto& set = link_flows_[li];
-      f.link_pos.push_back(static_cast<std::uint32_t>(set.size()));
-      set.push_back({idx, s});
-    }
+    auto& set = link_flows_[li];
+    f.link_pos.push_back(static_cast<std::uint32_t>(set.size()));
+    set.push_back({idx, s});
   }
   ++active_count_;
   if (progress_ != nullptr)
@@ -236,19 +219,12 @@ void FlowNetwork::mark_dirty() {
   engine_.schedule_after(0.0, [this, epoch] {
     if (epoch != epoch_) return;
     process_pending_ = false;
-    if (cfg_.incremental)
-      process();
-    else
-      process_full();
+    process();
   });
 }
 
 void FlowNetwork::on_timer(std::uint64_t epoch) {
-  if (epoch != epoch_) return;
-  if (cfg_.incremental)
-    process();
-  else
-    process_full();
+  if (epoch == epoch_) process();
 }
 
 void FlowNetwork::settle_flow(Flow& f, SimTime now) {
@@ -282,22 +258,20 @@ void FlowNetwork::finish_flow(std::uint32_t idx) {
       note_load_dec(l);
     }
     mark_link_dirty(l);
-    if (cfg_.incremental) {
-      // Swap-erase this flow's entry; the moved entry's back-pointer
-      // keeps link_pos consistent.  Routes never repeat a link, so a
-      // moved entry naming this flow is the entry being erased itself.
-      auto& set = link_flows_[li];
-      const std::uint32_t pos = f.link_pos[s];
-      const LinkRef moved = set.back();
-      set[pos] = moved;
-      set.pop_back();
-      if (moved.flow != idx) flows_[moved.flow].link_pos[moved.slot] = pos;
-      // Compact drained sets: a burst (e.g. an alltoall round) can
-      // leave thousands of links each holding a multi-KB empty
-      // vector.  Only worth a realloc when the capacity is large.
-      if (set.empty() && set.capacity() > 1024) {
-        set.shrink_to_fit();
-      }
+    // Swap-erase this flow's entry; the moved entry's back-pointer
+    // keeps link_pos consistent.  Routes never repeat a link, so a
+    // moved entry naming this flow is the entry being erased itself.
+    auto& set = link_flows_[li];
+    const std::uint32_t pos = f.link_pos[s];
+    const LinkRef moved = set.back();
+    set[pos] = moved;
+    set.pop_back();
+    if (moved.flow != idx) flows_[moved.flow].link_pos[moved.slot] = pos;
+    // Compact drained sets: a burst (e.g. an alltoall round) can
+    // leave thousands of links each holding a multi-KB empty
+    // vector.  Only worth a realloc when the capacity is large.
+    if (set.empty() && set.capacity() > 1024) {
+      set.shrink_to_fit();
     }
   }
   done_.push_back(f.waiter);
@@ -318,10 +292,6 @@ void FlowNetwork::fire_completions() {
     engine_.schedule_after(0.0, [h] { h.resume(); });
   done_.clear();
 }
-
-// ---------------------------------------------------------------------------
-// Incremental path
-// ---------------------------------------------------------------------------
 
 void FlowNetwork::heap_push(CompletionEntry e) {
   cheap_.push_back(e);
@@ -531,118 +501,6 @@ void FlowNetwork::schedule_timer() {
     return;
   }
 }
-
-// ---------------------------------------------------------------------------
-// Full-pass fallback (NetConfig::incremental == false)
-// ---------------------------------------------------------------------------
-
-void FlowNetwork::settle_all() {
-  const SimTime now = engine_.now();
-  if (now - last_settle_ <= 0.0) return;
-  last_settle_ = now;
-  for (Flow& f : flows_)
-    if (f.in_use) settle_flow(f, now);
-}
-
-void FlowNetwork::process_full() {
-  settle_all();
-  const SimTime now = engine_.now();
-  const double teps = completion_time_eps(now);
-
-  // Complete flows that have drained (several can share an instant).
-  for (std::uint32_t i = 0; i < flows_.size(); ++i) {
-    Flow& f = flows_[i];
-    if (f.in_use && f.remaining <= f.rate * teps) finish_flow(i);
-  }
-
-  if (active_count_ > 0) {
-    const ScopedHostTimer hosttimer(HostSubsys::kRates);
-    ++recompute_passes_;
-    if (cfg_.fairness == Fairness::kMaxMin) {
-      assign_rates_max_min_full();
-    } else {
-      // Dirty-bit skip: a min-share rate can only have changed if one
-      // of the flow's links changed load since the last pass.
-      for (Flow& f : flows_) {
-        if (!f.in_use) continue;
-        bool touched = false;
-        for (const LinkId l : f.links) {
-          if (link_stamp_[static_cast<std::size_t>(l)] == stamp_) {
-            touched = true;
-            break;
-          }
-        }
-        if (!touched) continue;
-        f.rate = compute_rate(f);
-        ++rate_updates_;
-      }
-    }
-    SimTime earliest = std::numeric_limits<double>::max();
-    for (const Flow& f : flows_)
-      if (f.in_use) earliest = std::min(earliest, f.remaining / f.rate);
-    ++epoch_;
-    const std::uint64_t epoch = epoch_;
-    engine_.schedule_after(earliest, [this, epoch] { on_timer(epoch); });
-  }
-
-  dirty_links_.clear();
-  ++stamp_;
-  fire_completions();
-}
-
-void FlowNetwork::assign_rates_max_min_full() {
-  // Progressive filling over all flows: repeatedly find the tightest
-  // link, freeze its flows at the equal share of its residual
-  // capacity, subtract their rates everywhere, continue with the rest.
-  for (std::size_t l = 0; l < residual_.size(); ++l) {
-    residual_[l] = link_capacity(static_cast<LinkId>(l));
-    active_share_[l] = 0;
-  }
-  comp_flows_.clear();
-  for (std::uint32_t i = 0; i < flows_.size(); ++i) {
-    if (!flows_[i].in_use) continue;
-    comp_flows_.push_back(i);
-    for (const LinkId l : flows_[i].links)
-      ++active_share_[static_cast<std::size_t>(l)];
-  }
-
-  while (!comp_flows_.empty()) {
-    double bottleneck = std::numeric_limits<double>::max();
-    for (std::size_t l = 0; l < residual_.size(); ++l) {
-      if (active_share_[l] > 0)
-        bottleneck = std::min(bottleneck, residual_[l] / active_share_[l]);
-    }
-    std::size_t kept = 0;
-    for (const std::uint32_t fi : comp_flows_) {
-      Flow& f = flows_[fi];
-      bool frozen = false;
-      for (const LinkId l : f.links) {
-        const auto li = static_cast<std::size_t>(l);
-        if (residual_[li] / active_share_[li] <=
-            bottleneck * (1.0 + 1e-12)) {
-          frozen = true;
-          break;
-        }
-      }
-      if (frozen) {
-        f.rate = bottleneck;
-        ++rate_updates_;
-        for (const LinkId l : f.links) {
-          const auto li = static_cast<std::size_t>(l);
-          residual_[li] -= bottleneck;
-          --active_share_[li];
-        }
-      } else {
-        comp_flows_[kept++] = fi;
-      }
-    }
-    if (kept == comp_flows_.size())
-      throw InternalError("max-min filling made no progress");
-    comp_flows_.resize(kept);
-  }
-}
-
-// ---------------------------------------------------------------------------
 
 double FlowNetwork::total_delivered() const noexcept {
   const SimTime now = engine_.now();

@@ -12,8 +12,8 @@
 /// leave some residual capacity unused, which real wormhole routing
 /// wastes too).
 ///
-/// Rate allocation is *incremental*: per-link index sets record which
-/// flows traverse each link, so when the flow set changes only the
+/// Rate allocation follows the change: per-link index sets record
+/// which flows traverse each link, so when the flow set changes only the
 /// flows sharing a changed link (kMinShare), or the connected component
 /// of flows transitively sharing links with the change (kMaxMin), are
 /// revisited — O(affected x path) instead of O(all flows x path) per
@@ -24,10 +24,9 @@
 /// generation counters.  Changes at the same simulated instant are
 /// still coalesced into a single allocation pass, so lock-step
 /// collective rounds cost one pass per round rather than one per
-/// message.  Setting NetConfig::incremental = false selects the
-/// simpler full-pass fallback (global settle + scan), which skips rate
-/// recomputation for flows whose links' loads did not change since the
-/// last pass.
+/// message.  tests/network/reference_model.hpp re-derives completion
+/// times with an independent full recompute per event; the network
+/// tests check this class against it.
 
 #include <array>
 #include <coroutine>
@@ -52,17 +51,9 @@ enum class Fairness { kMinShare, kMaxMin };
 
 struct NetConfig {
   double link_bw = 0.0;       ///< torus link capacity, unidirectional B/s
-  double injection_bw = 0.0;  ///< NIC injection capacity, B/s
-  double ejection_bw = 0.0;   ///< NIC ejection capacity, B/s (0 => =inj)
+  double injection_bw = 0.0;  ///< NIC injection and ejection capacity, B/s
   double per_hop_latency = 0.0;  ///< router hop latency, seconds
   Fairness fairness = Fairness::kMinShare;
-  /// Incremental rate allocation via per-link flow-index sets (the
-  /// default).  false selects the full-pass fallback with dirty-bit
-  /// skipping — simpler, O(flows) per change, kept for differential
-  /// testing and as an escape hatch.
-  bool incremental = true;
-  /// LRU route-cache entries keyed on (src, dst); 0 disables caching.
-  std::size_t route_cache_capacity = 4096;
   /// Collect per-link usage statistics (bytes, busy/contended time,
   /// peak load) and the per-class concurrent-flow series.  Off by
   /// default: the only cost when disabled is a predictable branch in
@@ -108,8 +99,8 @@ class FlowNetwork {
   [[nodiscard]] SimTime route_latency(NodeId src, NodeId dst) const;
 
   /// Resolve the route src -> dst (injection, torus links, ejection)
-  /// through the LRU route cache — the same links flows are charged to.
-  /// Used by per-link attribution (obsv critical path); src == dst is a
+  /// through the LRU route cache.  Flows take their links from here, and
+  /// so does per-link attribution (obsv critical path); src == dst is a
   /// caller error, as with Torus3D::route_into.
   void route_for(NodeId src, NodeId dst, Route& out);
 
@@ -212,7 +203,6 @@ class FlowNetwork {
 
   [[nodiscard]] double link_capacity(LinkId link) const noexcept;
   [[nodiscard]] double compute_rate(const Flow& f) const noexcept;
-  void get_route(NodeId src, NodeId dst, Route& out);
   std::uint32_t add_flow(NodeId src, NodeId dst, double bytes);
   void start_flow(NodeId src, NodeId dst, double bytes,
                   std::coroutine_handle<> h);
@@ -229,7 +219,6 @@ class FlowNetwork {
   static bool pops_after(const CompletionEntry& a,
                          const CompletionEntry& b) noexcept;
 
-  // incremental path
   void process();
   void on_timer(std::uint64_t epoch);
   void update_rates_min_share(SimTime now);
@@ -240,11 +229,6 @@ class FlowNetwork {
   void heap_push(CompletionEntry e);
   void heap_pop();
 
-  // full-pass fallback path
-  void process_full();
-  void settle_all();
-  void assign_rates_max_min_full();
-
   Engine& engine_;
   Torus3D topo_;
   NetConfig cfg_;
@@ -253,7 +237,7 @@ class FlowNetwork {
   std::vector<Flow> flows_;            ///< slot-map backing store
   std::vector<std::uint32_t> free_;    ///< recycled slots (LIFO)
   std::vector<int> link_load_;
-  std::vector<std::vector<LinkRef>> link_flows_;  ///< incremental only
+  std::vector<std::vector<LinkRef>> link_flows_;  ///< flows per link
 
   // Dirty tracking: a link is dirty when its load changed since the
   // last allocation pass; stamps avoid O(links) clearing.
@@ -290,7 +274,6 @@ class FlowNetwork {
   std::size_t peak_flows_ = 0;
   std::uint64_t epoch_ = 0;        ///< invalidates scheduled timers
   bool process_pending_ = false;   ///< zero-delay pass already queued
-  SimTime last_settle_ = 0.0;      ///< full-pass path only
   double settled_delivered_ = 0.0;
   std::uint64_t recompute_passes_ = 0;
   std::uint64_t rate_updates_ = 0;

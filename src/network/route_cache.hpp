@@ -27,8 +27,6 @@ class RouteCache {
     index_.reserve(capacity_ * 2);
   }
 
-  [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
-
   /// Copy the cached route for (src, dst) into \p out; returns false on
   /// miss.  A hit promotes the entry to most-recently-used.
   bool lookup(NodeId src, NodeId dst, Route& out) {

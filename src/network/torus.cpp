@@ -72,17 +72,11 @@ int ring_delta(int a, int b, int n) {
 }
 }  // namespace
 
-std::vector<LinkId> Torus3D::route(NodeId src, NodeId dst) const {
-  Route r;
-  route_into(src, dst, r);
-  return std::vector<LinkId>(r.begin(), r.end());
-}
-
 void Torus3D::route_into(NodeId src, NodeId dst, Route& out) const {
   check_node(src);
   check_node(dst);
   if (src == dst)
-    throw UsageError("Torus3D::route: src == dst (use the memory path)");
+    throw UsageError("Torus3D::route_into: src == dst (use the memory path)");
 
   out.clear();
   out.push_back(torus_link_count() + src);  // injection link

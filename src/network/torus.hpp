@@ -11,7 +11,6 @@
 /// PTRANS stays link-limited (Fig 10).
 
 #include <cstdint>
-#include <vector>
 
 #include "core/error.hpp"
 #include "core/small_vec.hpp"
@@ -67,14 +66,10 @@ class Torus3D {
     return link < torus_link_count();
   }
 
-  /// Minimal dimension-ordered route src -> dst: injection link, torus
-  /// links (shorter way around each ring, positive on ties), ejection
-  /// link.  src == dst is a caller error (intra-node traffic never
-  /// reaches the network).
-  [[nodiscard]] std::vector<LinkId> route(NodeId src, NodeId dst) const;
-
-  /// Allocation-free variant: derive the route into \p out (cleared
-  /// first).  The hot path used by FlowNetwork.
+  /// Minimal dimension-ordered route src -> dst into \p out (cleared
+  /// first): injection link, torus links (shorter way around each ring,
+  /// positive on ties), ejection link.  src == dst is a caller error
+  /// (intra-node traffic never reaches the network).
   void route_into(NodeId src, NodeId dst, Route& out) const;
 
   /// Torus hop count of the minimal route (excludes injection/ejection).

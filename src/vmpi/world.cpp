@@ -1,6 +1,7 @@
 #include "vmpi/world.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <numeric>
 #include <string>
 
@@ -216,13 +217,27 @@ SimTime World::run(const RankProgram& program) {
   ranks_finished_ = 0;
   rank_done_.assign(static_cast<std::size_t>(cfg_.nranks), 0);
   const SimTime t0 = engine_.now();
+  // run() owns the rank frames, so a run that ends by deadlock or by a
+  // rank's exception destroys the frames still parked instead of
+  // leaking them.  The first exception a rank throws is captured
+  // rather than escaping Engine::step: the queue then drains as usual,
+  // and no spawned transport is left parked in it.
+  std::exception_ptr failure;
+  std::vector<Task<void>> ranks;
+  ranks.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r) {
-    spawn(engine_, [](World& w, const RankProgram& prog, int rank)
-                       -> Task<void> {
-      co_await prog(w.world_comm(rank));
+    ranks.push_back([](World& w, const RankProgram& prog, int rank,
+                       std::exception_ptr& failed) -> Task<void> {
+      try {
+        co_await prog(w.world_comm(rank));
+      } catch (...) {
+        if (!failed) failed = std::current_exception();
+        co_return;
+      }
       ++w.ranks_finished_;
       w.rank_done_[static_cast<std::size_t>(rank)] = 1;
-    }(*this, program, r));
+    }(*this, program, r, failure));
+    ranks.back().start(engine_);
   }
   {
     // Self-profiling: everything below is the engine dispatch loop;
@@ -236,6 +251,7 @@ SimTime World::run(const RankProgram& program) {
     obs_->span(obsv::kWorldLane, obsv::Cat::kEngine, sid_.run, t0,
                engine_.now(), 0, static_cast<double>(cfg_.nranks),
                static_cast<double>(engine_.events_processed()));
+  if (failure) std::rethrow_exception(failure);
   if (ranks_finished_ != cfg_.nranks)
     throw SimError(describe_deadlock());
   return engine_.now();

@@ -76,8 +76,11 @@ class World {
   }
 
   /// Run the same program on every rank (SPMD); returns the simulated
-  /// time at which the last rank finished.  Throws SimError if ranks
-  /// deadlock (event queue drained with ranks still blocked).
+  /// time at which the last rank finished.  If a rank throws, the
+  /// others run on until the event queue drains and the first
+  /// exception is rethrown; otherwise throws SimError if ranks
+  /// deadlock (event queue drained with ranks still blocked).  Either
+  /// way the frames of unfinished ranks are destroyed.
   using RankProgram = std::function<Task<void>(Comm&)>;
   SimTime run(const RankProgram& program);
 

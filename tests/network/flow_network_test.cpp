@@ -2,14 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "core/future.hpp"
 #include "core/rng.hpp"
 #include "core/task.hpp"
+#include "reference_model.hpp"
 
 namespace xts::net {
+
+// Names the policy in parameterized test names (found by ADL).
+void PrintTo(Fairness f, std::ostream* os) {
+  *os << (f == Fairness::kMinShare ? "kMinShare" : "kMaxMin");
+}
+
 namespace {
 
 NetConfig cfg(double link = 4.0, double inj = 2.0) {
@@ -18,6 +26,49 @@ NetConfig cfg(double link = 4.0, double inj = 2.0) {
   c.injection_bw = inj;
   c.per_hop_latency = 0.1;
   return c;
+}
+
+/// Start every flow of \p flows on \p net at its start time; done[i]
+/// receives flow i's completion time once the engine runs.
+void spawn_flows(Engine& e, FlowNetwork& net,
+                 const std::vector<reference::Flow>& flows,
+                 std::vector<SimTime>& done) {
+  done.assign(flows.size(), -1.0);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    spawn(e, [](Engine& eng, FlowNetwork& n, reference::Flow f,
+                SimTime& out) -> Task<void> {
+      co_await Delay(eng, f.start);
+      co_await n.transfer_flow(f.src, f.dst, f.bytes);
+      out = eng.now();
+    }(e, net, flows[i], done[i]));
+  }
+}
+
+/// 40 flows over 16 nodes with repeated pairs, in five waves 0.5 s
+/// apart (a 4x4x1 torus).
+std::vector<reference::Flow> staggered_pairs() {
+  std::vector<reference::Flow> flows;
+  for (int i = 0; i < 40; ++i) {
+    const auto s = static_cast<NodeId>(i % 16);
+    auto d = static_cast<NodeId>((i * 5 + 1) % 16);
+    if (s == d) d = (d + 1) % 16;
+    flows.push_back({0.5 * (i % 5), s, d, 1.0 + i % 13});
+  }
+  return flows;
+}
+
+/// 150 random pairs over 64 nodes in eleven waves 0.3 s apart (a 4x4x4
+/// torus): staggered churn.
+std::vector<reference::Flow> random_churn() {
+  std::vector<reference::Flow> flows;
+  Rng rng_src(7), rng_dst(11);
+  for (int i = 0; i < 150; ++i) {
+    const auto s = static_cast<NodeId>(rng_src.below(64));
+    auto d = static_cast<NodeId>(rng_dst.below(64));
+    if (d == s) d = (d + 1) % 64;
+    flows.push_back({0.3 * (i % 11), s, d, 1.0 + i % 23});
+  }
+  return flows;
 }
 
 SimTime run_one_transfer(Engine& e, FlowNetwork& net, NodeId src, NodeId dst,
@@ -288,81 +339,80 @@ TEST(FlowNetwork, FairnessPoliciesDivergeWhenBottleneckStrandsCapacity) {
   EXPECT_NEAR(mm.d, 4.0, 1e-9);
 }
 
-// Byte conservation and full teardown under staggered churn, across
-// the incremental/full-pass and min-share/max-min matrix.
-class FlowChurnModes
-    : public ::testing::TestWithParam<std::tuple<bool, Fairness>> {};
+// The reference model reproduces the same hand-derived times.
+TEST(ReferenceModel, ReproducesHandDerivedFairnessTimes) {
+  const std::vector<reference::Flow> flows = {
+      {0.0, 0, 1, 6.0}, {0.0, 0, 2, 4.0}, {0.0, 1, 2, 4.0}, {0.0, 3, 2, 4.0}};
+  const Torus3D topo({4, 1, 1});
+  EXPECT_EQ(reference::completion_times(topo, 100.0, 3.0,
+                                        Fairness::kMinShare, flows),
+            (std::vector<SimTime>{4.0, 4.0, 4.0, 4.0}));
+  const auto mm =
+      reference::completion_times(topo, 100.0, 3.0, Fairness::kMaxMin, flows);
+  ASSERT_EQ(mm.size(), 4u);
+  EXPECT_NEAR(mm[0], 3.0, 1e-9);
+  for (std::size_t i = 1; i < mm.size(); ++i) EXPECT_NEAR(mm[i], 4.0, 1e-9);
+}
+
+// Byte conservation and full teardown under staggered churn, under
+// both fairness policies.
+class FlowChurnModes : public ::testing::TestWithParam<Fairness> {};
 
 TEST_P(FlowChurnModes, ConservesBytesAndTearsDownCleanly) {
-  const auto [incremental, fairness] = GetParam();
   Engine e;
-  Torus3D topo({4, 4, 4});
+  const Torus3D topo({4, 4, 4});
   NetConfig c = cfg(3.0, 2.0);
-  c.incremental = incremental;
-  c.fairness = fairness;
+  c.fairness = GetParam();
   FlowNetwork net(e, topo, c);
-  double total = 0.0;
-  int finished = 0;
-  const int kFlows = 150;
-  Rng rng_src(7), rng_dst(11);
-  for (int i = 0; i < kFlows; ++i) {
-    const auto src = static_cast<NodeId>(rng_src.below(64));
-    auto dst = static_cast<NodeId>(rng_dst.below(64));
-    if (dst == src) dst = (dst + 1) % 64;
-    const double bytes = 1.0 + static_cast<double>(i % 23);
-    total += bytes;
-    spawn(e, [](Engine& eng, FlowNetwork& n, NodeId s, NodeId d, double b,
-                int delay, int& count) -> Task<void> {
-      co_await Delay(eng, 0.3 * delay);
-      co_await n.transfer_flow(s, d, b);
-      ++count;
-    }(e, net, src, dst, bytes, i % 11, finished));
-  }
+  const std::vector<reference::Flow> flows = random_churn();
+  std::vector<SimTime> done;
+  spawn_flows(e, net, flows, done);
   e.run();
-  EXPECT_EQ(finished, kFlows);
+  double total = 0.0;
+  for (const reference::Flow& f : flows) total += f.bytes;
+  for (const SimTime t : done) EXPECT_GE(t, 0.0);
   EXPECT_NEAR(net.total_delivered(), total, 1e-6);
   EXPECT_EQ(net.active_flows(), 0u);
   for (LinkId l = 0; l < topo.total_link_count(); ++l)
     EXPECT_EQ(net.link_load(l), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, FlowChurnModes,
-    ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(Fairness::kMinShare,
-                                         Fairness::kMaxMin)));
+INSTANTIATE_TEST_SUITE_P(Modes, FlowChurnModes,
+                         ::testing::Values(Fairness::kMinShare,
+                                           Fairness::kMaxMin));
 
-// The incremental path must produce the same completion times as the
-// full-pass fallback — they are two implementations of one model.
-TEST(FlowNetwork, IncrementalMatchesFullPassCompletionTimes) {
-  auto run = [](bool incremental, Fairness fairness) {
-    Engine e;
-    NetConfig c = cfg(2.5, 1.5);
-    c.incremental = incremental;
-    c.fairness = fairness;
-    FlowNetwork net(e, Torus3D({4, 4, 1}), c);
-    std::vector<SimTime> done(40, -1.0);
-    for (int i = 0; i < 40; ++i) {
-      auto s = static_cast<NodeId>(i % 16);
-      auto d = static_cast<NodeId>((i * 5 + 1) % 16);
-      if (s == d) d = (d + 1) % 16;
-      spawn(e, [](Engine& eng, FlowNetwork& n, NodeId src, NodeId dst,
-                  double b, int delay, SimTime& out) -> Task<void> {
-        co_await Delay(eng, 0.5 * delay);
-        co_await n.transfer_flow(src, dst, b);
-        out = eng.now();
-      }(e, net, s, d, 1.0 + i % 13, i % 5,
-        done[static_cast<std::size_t>(i)]));
-    }
-    e.run();
-    return done;
+// FlowNetwork must reproduce the reference fluid model's completion
+// times on both workloads under both policies.  The policies' totals
+// must differ there too, so a policy mix-up cannot pass unnoticed.
+TEST(FlowNetwork, MatchesReferenceModelCompletionTimes) {
+  struct Workload {
+    Torus3D topo;
+    double link_bw;
+    double injection_bw;
+    std::vector<reference::Flow> flows;
   };
-  for (const Fairness f : {Fairness::kMinShare, Fairness::kMaxMin}) {
-    const auto inc = run(true, f);
-    const auto full = run(false, f);
-    ASSERT_EQ(inc.size(), full.size());
-    for (std::size_t i = 0; i < inc.size(); ++i)
-      EXPECT_NEAR(inc[i], full[i], 1e-7) << "flow " << i;
+  const Workload workloads[] = {
+      {Torus3D({4, 4, 1}), 2.5, 1.5, staggered_pairs()},
+      {Torus3D({4, 4, 4}), 3.0, 2.0, random_churn()}};
+  for (const Workload& w : workloads) {
+    double total[2] = {0.0, 0.0};
+    for (const Fairness f : {Fairness::kMinShare, Fairness::kMaxMin}) {
+      const std::vector<SimTime> want = reference::completion_times(
+          w.topo, w.link_bw, w.injection_bw, f, w.flows);
+      Engine e;
+      NetConfig c = cfg(w.link_bw, w.injection_bw);
+      c.fairness = f;
+      FlowNetwork net(e, w.topo, c);
+      std::vector<SimTime> got;
+      spawn_flows(e, net, w.flows, got);
+      e.run();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_NEAR(got[i], want[i], 1e-7) << "flow " << i;
+      total[f == Fairness::kMaxMin] =
+          std::accumulate(want.begin(), want.end(), 0.0);
+    }
+    EXPECT_GT(total[0], total[1] + 1.0);  // max-min drains sooner
   }
 }
 
@@ -427,17 +477,6 @@ TEST(FlowNetwork, LinkStatsOffByDefault) {
   FlowNetwork net(e, Torus3D({2, 1, 1}), cfg());
   EXPECT_FALSE(net.stats_enabled());
   EXPECT_THROW((void)net.link_stats(0), UsageError);
-}
-
-TEST(FlowNetwork, RouteCacheCanBeDisabled) {
-  Engine e;
-  NetConfig c = cfg();
-  c.route_cache_capacity = 0;
-  FlowNetwork net(e, Torus3D({4, 4, 1}), c);
-  for (int i = 0; i < 3; ++i)
-    EXPECT_NEAR(run_one_transfer(e, net, 0, 1, 2.0), 1.0 + i, 1e-9);
-  EXPECT_EQ(net.route_cache_hits(), 0u);
-  EXPECT_EQ(net.route_cache_misses(), 0u);
 }
 
 }  // namespace

@@ -62,10 +62,11 @@ TEST(Torus, RouteLengthMatchesHopCount) {
   for (NodeId a = 0; a < t.node_count(); a += 3) {
     for (NodeId b = 0; b < t.node_count(); b += 5) {
       if (a == b) continue;
-      const auto r = t.route(a, b);
+      Route r;
+      t.route_into(a, b, r);
       // injection + hops + ejection
       EXPECT_EQ(static_cast<int>(r.size()), t.hop_count(a, b) + 2);
-      EXPECT_EQ(r.front(), t.injection_link(a));
+      EXPECT_EQ(r[0], t.injection_link(a));
       EXPECT_EQ(r.back(), t.ejection_link(b));
     }
   }
@@ -75,7 +76,8 @@ TEST(Torus, RouteIsContiguousDimensionOrdered) {
   Torus3D t({5, 4, 3});
   const NodeId src = t.id_of({0, 0, 0});
   const NodeId dst = t.id_of({2, 3, 1});
-  const auto r = t.route(src, dst);
+  Route r;
+  t.route_into(src, dst, r);
   // x: 2 hops (+), y: 1 hop (wrap, -), z: 1 hop (+). Total 4 torus hops.
   EXPECT_EQ(r.size(), 6u);
   // First torus link leaves src in +x.
@@ -84,7 +86,8 @@ TEST(Torus, RouteIsContiguousDimensionOrdered) {
 
 TEST(Torus, RouteToSelfThrows) {
   Torus3D t({2, 2, 2});
-  EXPECT_THROW(t.route(3, 3), UsageError);
+  Route r;
+  EXPECT_THROW(t.route_into(3, 3, r), UsageError);
 }
 
 TEST(Torus, DegenerateSingleNode) {
