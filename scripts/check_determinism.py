@@ -7,9 +7,11 @@ varied axis, and requires:
   1. stdout byte-identical (tables, CSV blocks, closing notes);
   2. the --metrics tables (appended to stdout at exit) identical, since
      the run adds --metrics to both invocations;
-  3. the --trace= Chrome-trace JSON byte-identical after stripping the
-     wall-clock fields that legitimately vary;
-  4. the --profile= attribution JSON, scrubbed the same way, identical.
+  3. the --trace= Chrome-trace JSON byte-identical;
+  4. the --profile= attribution JSON byte-identical.
+
+The artifacts are compared as raw bytes, in chunks; a mismatch reports
+the first differing byte offset and the line holding it in each file.
 
 Three axes, selected with --vary:
 
@@ -40,29 +42,17 @@ Usage:
   check_determinism.py --run <bench> --jobs-parallel 4 -- --quick
 """
 
-import json
 import os
 import subprocess
 import sys
 import tempfile
 
-# Wall-clock-derived keys that may differ between runs of the same
-# simulation; everything else in the artifacts must match byte-for-byte.
-VOLATILE_KEYS = {"generated_wall_s", "wall_clock_s", "host"}
+CHUNK = 1 << 20  # bytes read per compare step
 
 
 def fail(msg):
     print("check_determinism: FAIL:", msg, file=sys.stderr)
     sys.exit(1)
-
-
-def scrub(obj):
-    if isinstance(obj, dict):
-        return {k: scrub(v) for k, v in sorted(obj.items())
-                if k not in VOLATILE_KEYS}
-    if isinstance(obj, list):
-        return [scrub(v) for v in obj]
-    return obj
 
 
 # Stdout blocks reporting host facts rather than simulation outputs;
@@ -117,12 +107,55 @@ def check_cache_counters(label, text, want):
         fail(f"{label} leg counters: {', '.join(bad)}")
 
 
-def load_scrubbed(path, what):
+def first_difference(path_a, path_b):
+    """Offset of the first byte at which two files differ (a length
+    difference counts at the shorter file's end), or None if equal."""
+    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+        offset = 0
+        while True:
+            a, b = fa.read(CHUNK), fb.read(CHUNK)
+            if a != b:
+                n = min(len(a), len(b))
+                return offset + next(
+                    (i for i in range(n) if a[i] != b[i]), n)
+            if not a:
+                return None
+            offset += len(a)
+
+
+def line_at(path, offset):
+    """1-based number and text (up to 200 bytes) of the line holding
+    byte `offset` of `path`."""
+    with open(path, "rb") as f:
+        lineno, start, pos = 1, 0, 0
+        while pos < offset:
+            chunk = f.read(min(CHUNK, offset - pos))
+            if not chunk:
+                break
+            newlines = chunk.count(b"\n")
+            if newlines:
+                lineno += newlines
+                start = pos + chunk.rindex(b"\n") + 1
+            pos += len(chunk)
+        f.seek(start)
+        line = f.readline().rstrip(b"\n")
+    return lineno, line[:200].decode(errors="replace")
+
+
+def compare_artifacts(what, path_a, label_a, path_b, label_b):
+    """Fail unless the two artifact files are byte-identical."""
     try:
-        with open(path) as f:
-            return scrub(json.load(f))
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"could not load {what} artifact {path}: {e}")
+        at = first_difference(path_a, path_b)
+    except OSError as e:
+        fail(f"could not read {what} artifact: {e}")
+    if at is None:
+        return
+    lines = []
+    for label, path in ((label_a, path_a), (label_b, path_b)):
+        lineno, text = line_at(path, at)
+        lines.append(f"  {label}: line {lineno}: {text}")
+    fail(f"{what} artifacts differ between {label_a} and {label_b} "
+         f"from byte {at}:\n" + "\n".join(lines))
 
 
 def check_cache(bench, rest):
@@ -145,7 +178,7 @@ def check_cache(bench, rest):
             profile = os.path.join(tmp, f"profile_{i}.json")
             out = run_once(bench, rest, flags, None, profile)
             outs.append(scrub_stdout(out))
-            profiles.append(load_scrubbed(profile, label))
+            profiles.append(profile)
             if label == "cold cache":
                 entries = [f for f in os.listdir(cache_dir)
                            if f.endswith(".xtsc")]
@@ -167,9 +200,8 @@ def check_cache(bench, rest):
                     legs[0][0], legs[i][0], lineterm=""))
                 fail(f"stdout differs between {legs[0][0]} and "
                      f"{legs[i][0]}:\n{diff[:4000]}")
-            if profiles[i] != profiles[0]:
-                fail(f"--profile= artifacts differ between {legs[0][0]} "
-                     f"and {legs[i][0]}")
+            compare_artifacts("--profile=", profiles[0], legs[0][0],
+                              profiles[i], legs[i][0])
 
     name = os.path.basename(bench)
     print(f"check_determinism: OK: {name} {' '.join(rest)} is "
@@ -228,10 +260,8 @@ def main(argv):
             fail(f"stdout differs between {label1} and {labeln}:\n"
                  f"{diff[:4000]}")
 
-        if load_scrubbed(t1, "trace") != load_scrubbed(tn, "trace"):
-            fail(f"--trace= artifacts differ between {label1} and {labeln}")
-        if load_scrubbed(p1, "profile") != load_scrubbed(pn, "profile"):
-            fail(f"--profile= artifacts differ between {label1} and {labeln}")
+        compare_artifacts("--trace=", t1, label1, tn, labeln)
+        compare_artifacts("--profile=", p1, label1, pn, labeln)
 
     name = os.path.basename(bench)
     print(f"check_determinism: OK: {name} {' '.join(rest)} is byte-identical "

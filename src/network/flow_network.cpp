@@ -52,7 +52,8 @@ FlowNetwork::FlowNetwork(Engine& engine, Torus3D topo, NetConfig cfg)
   residual_.assign(links, 0.0);
   active_share_.assign(links, 0);
   link_flows_.resize(links);
-  stats_on_ = cfg_.link_stats;
+  stats_on_ = cfg_.link_stats != LinkStatsMode::kOff;
+  series_on_ = cfg_.link_stats == LinkStatsMode::kTotalsAndSeries;
   if (stats_on_) stats_.resize(links);
 }
 
@@ -116,6 +117,7 @@ void FlowNetwork::note_load_inc(LinkId link) {
   if (load == 1) s.busy_since = now;
   if (load == 2) s.contended_since = now;
   if (load > s.peak_load) s.peak_load = load;
+  if (!series_on_) return;
   ++class_load_[static_cast<std::size_t>(link_class(link))];
   note_class_sample(link, now);
 }
@@ -127,6 +129,7 @@ void FlowNetwork::note_load_dec(LinkId link) {
   const SimTime now = engine_.now();
   if (load == 0) s.busy_time += now - s.busy_since;
   if (load == 1) s.contended_time += now - s.contended_since;
+  if (!series_on_) return;
   --class_load_[static_cast<std::size_t>(link_class(link))];
   note_class_sample(link, now);
 }

@@ -49,16 +49,20 @@ namespace xts::net {
 ///    not limited by the bottleneck pick up the slack.
 enum class Fairness { kMinShare, kMaxMin };
 
+/// What FlowNetwork records about link usage.
+///  - kOff: nothing; the only cost is a predictable branch in the
+///    settle/add/finish paths.
+///  - kTotals: per-link totals (bytes, busy/contended time, peak load).
+///  - kTotalsAndSeries: the totals plus the per-class concurrent-flow
+///    series (class_samples()), which only the Chrome trace renders.
+enum class LinkStatsMode { kOff, kTotals, kTotalsAndSeries };
+
 struct NetConfig {
   double link_bw = 0.0;       ///< torus link capacity, unidirectional B/s
   double injection_bw = 0.0;  ///< NIC injection and ejection capacity, B/s
   double per_hop_latency = 0.0;  ///< router hop latency, seconds
   Fairness fairness = Fairness::kMinShare;
-  /// Collect per-link usage statistics (bytes, busy/contended time,
-  /// peak load) and the per-class concurrent-flow series.  Off by
-  /// default: the only cost when disabled is a predictable branch in
-  /// the settle/add/finish paths.
-  bool link_stats = false;
+  LinkStatsMode link_stats = LinkStatsMode::kOff;
 };
 
 class FlowNetwork {
@@ -158,7 +162,8 @@ class FlowNetwork {
     int peak_load = 0;            ///< max concurrent flows
   };
   /// One point of the per-class concurrent-flow time series
-  /// (adaptively decimated so long runs stay bounded).
+  /// (adaptively decimated so long runs stay bounded); recorded only
+  /// under LinkStatsMode::kTotalsAndSeries.
   struct ClassSample {
     SimTime t = 0.0;
     std::int32_t cls = 0;
@@ -253,7 +258,8 @@ class FlowNetwork {
   std::vector<double> residual_;           ///< scratch: max-min filling
   std::vector<int> active_share_;          ///< scratch: max-min filling
 
-  // Link-usage statistics (allocated only when cfg_.link_stats).
+  // Link-usage statistics (allocated only when cfg_.link_stats is not
+  // kOff); the class series is touched only when series_on_.
   struct LinkStatSlot {
     double bytes = 0.0;
     double busy_time = 0.0;
@@ -263,6 +269,7 @@ class FlowNetwork {
     SimTime contended_since = 0.0;  ///< valid while load >= 2
   };
   bool stats_on_ = false;
+  bool series_on_ = false;
   std::vector<LinkStatSlot> stats_;
   std::array<int, kLinkClasses> class_load_{};
   std::array<SimTime, kLinkClasses> class_sample_t_{};

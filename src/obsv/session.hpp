@@ -86,6 +86,8 @@ struct WorldSummary {
   std::size_t peak_flows = 0;
   std::uint64_t engine_events = 0;
   std::vector<LinkUsage> links;  ///< links that carried traffic only
+  /// Filled only under a tracing session (the Chrome trace is its one
+  /// reader); empty otherwise, and never stored in a cache entry.
   std::vector<ClassSample> class_series;
 };
 

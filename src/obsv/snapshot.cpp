@@ -10,7 +10,7 @@ namespace xts::obsv {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53535458u;  // "XTSS"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 // -- encode helpers ----------------------------------------------------
 
@@ -73,12 +73,6 @@ void put_summary(ByteWriter& w, const WorldSummary& s) {
     w.f64(l.busy_time);
     w.f64(l.contended_time);
     w.i32(l.peak_load);
-  }
-  w.u64(s.class_series.size());
-  for (const auto& c : s.class_series) {
-    w.f64(c.t);
-    w.i32(c.cls);
-    w.i32(c.load);
   }
 }
 
@@ -260,14 +254,6 @@ bool get_summary(ByteReader& r, WorldSummary& s) {
     l.busy_time = r.f64();
     l.contended_time = r.f64();
     l.peak_load = r.i32();
-  }
-  const std::uint64_t nclass = r.u64();
-  if (!r.fits(nclass, 16)) return false;
-  s.class_series.resize(static_cast<std::size_t>(nclass));
-  for (auto& c : s.class_series) {
-    c.t = r.f64();
-    c.cls = r.i32();
-    c.load = r.i32();
   }
   return r.ok();
 }

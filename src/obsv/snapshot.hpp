@@ -15,6 +15,10 @@
 /// What is deliberately NOT encoded:
 ///  - spans (the TraceSink): `--trace` runs bypass the cache entirely —
 ///    span volume dwarfs everything else and nobody replays traces;
+///  - WorldSummary::class_series: the per-class flow series exists only
+///    under a tracing session, whose points are never cached.  Dropping
+///    it (format version 2) cut the figs 8-11 `--quick --metrics`
+///    entries from 5.7 MB to 0.9 MB in total;
 ///  - WorldObs handles (worlds_): live-World plumbing, dead by the time
 ///    a shard is absorbed.
 ///

@@ -37,7 +37,12 @@ World::World(WorldConfig cfg) : cfg_(std::move(cfg)) {
   ncfg.injection_bw = cfg_.machine.nic.injection_bw;
   ncfg.per_hop_latency = cfg_.machine.nic.per_hop_latency;
   ncfg.fairness = cfg_.fairness;
-  ncfg.link_stats = obs_ != nullptr;
+  // Any session reads the per-link totals (WorldSummary::links); only
+  // the Chrome trace renders the per-class flow series, so a --metrics
+  // or --profile session does not sample it.
+  if (obs_ != nullptr)
+    ncfg.link_stats = obs_->tracing() ? net::LinkStatsMode::kTotalsAndSeries
+                                      : net::LinkStatsMode::kTotals;
   network_ =
       std::make_unique<net::FlowNetwork>(engine_, net::Torus3D(dims), ncfg);
 

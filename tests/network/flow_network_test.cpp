@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 #include <ostream>
 #include <vector>
@@ -427,7 +428,7 @@ TEST(FlowNetwork, RouteCacheServesRepeatedPairs) {
 TEST(FlowNetwork, LinkStatsConserveBytes) {
   Engine e;
   NetConfig c = cfg();
-  c.link_stats = true;
+  c.link_stats = LinkStatsMode::kTotals;
   const Torus3D topo({4, 4, 1});
   FlowNetwork net(e, topo, c);
   run_one_transfer(e, net, 0, 5, 64.0);
@@ -449,7 +450,7 @@ TEST(FlowNetwork, LinkStatsConserveBytes) {
 TEST(FlowNetwork, LinkStatsBusyAndContention) {
   Engine e;
   NetConfig c = cfg(8.0, 2.0);
-  c.link_stats = true;
+  c.link_stats = LinkStatsMode::kTotals;
   FlowNetwork net(e, Torus3D({4, 1, 1}), c);
   std::vector<SimTime> done(2, -1.0);
   const NodeId dst[2] = {1, 3};
@@ -472,11 +473,107 @@ TEST(FlowNetwork, LinkStatsBusyAndContention) {
   EXPECT_EQ(st.peak_load, 2);
 }
 
+/// Start 60 random flows, 1..17 bytes each, in seven waves 0.25 s
+/// apart.
+void spawn_random_waves(Engine& e, FlowNetwork& net) {
+  const int nodes = net.topology().node_count();
+  Rng rng(11);
+  for (int i = 0; i < 60; ++i) {
+    const auto src = static_cast<NodeId>(rng.below(nodes));
+    auto dst = static_cast<NodeId>(rng.below(nodes));
+    if (dst == src) dst = (dst + 1) % nodes;
+    spawn(e, [](Engine& eng, FlowNetwork& n, NodeId s, NodeId d, double b,
+                int wave) -> Task<void> {
+      co_await Delay(eng, 0.25 * wave);
+      co_await n.transfer_flow(s, d, b);
+    }(e, net, src, dst, 1.0 + static_cast<double>(i % 17), i % 7));
+  }
+}
+
+/// Summed link_load() over the links of each class.
+std::array<int, FlowNetwork::kLinkClasses> class_loads(
+    const FlowNetwork& net) {
+  std::array<int, FlowNetwork::kLinkClasses> load{};
+  for (LinkId l = 0; l < net.topology().total_link_count(); ++l)
+    load[static_cast<std::size_t>(net.link_class(l))] += net.link_load(l);
+  return load;
+}
+
+/// Each class's most recent sample, or -1 for a class with none.
+std::array<int, FlowNetwork::kLinkClasses> last_samples(
+    const FlowNetwork& net) {
+  std::array<int, FlowNetwork::kLinkClasses> last;
+  last.fill(-1);
+  for (const auto& s : net.class_samples())
+    last[static_cast<std::size_t>(s.cls)] = s.load;
+  return last;
+}
+
+TEST(FlowNetwork, ClassSeriesTracksSummedLinkLoads) {
+  Engine e;
+  NetConfig c = cfg(3.0, 2.0);
+  c.link_stats = LinkStatsMode::kTotalsAndSeries;
+  FlowNetwork net(e, Torus3D({4, 4, 4}), c);
+  spawn_random_waves(e, net);
+  // Probe between events (waves start on multiples of 0.25 s): each
+  // class's latest sample is that class's current summed load.
+  int busy_probes = 0;
+  for (int k = 0; k < 40; ++k) {
+    (void)e.run_until(0.1 + 0.2 * k);
+    const auto load = class_loads(net);
+    const auto last = last_samples(net);
+    for (std::size_t cls = 0; cls < load.size(); ++cls) {
+      if (last[cls] < 0) continue;  // class not used yet
+      EXPECT_EQ(last[cls], load[cls]) << "class " << cls;
+    }
+    if (net.active_flows() > 0) ++busy_probes;
+  }
+  e.run();
+  EXPECT_GT(busy_probes, 3);
+  // Drained: every class was used, and its last sample is zero.
+  for (const int v : last_samples(net)) EXPECT_EQ(v, 0);
+  // Per class, samples come in time order.
+  std::array<SimTime, FlowNetwork::kLinkClasses> prev;
+  prev.fill(-1.0);
+  for (const auto& s : net.class_samples()) {
+    const auto cls = static_cast<std::size_t>(s.cls);
+    EXPECT_GE(s.t, prev[cls]) << "class " << cls;
+    prev[cls] = s.t;
+  }
+}
+
+TEST(FlowNetwork, LinkTotalsAloneRecordNoSeries) {
+  // The same flows under kTotals and kTotalsAndSeries: identical
+  // per-link totals, and kTotals never samples the class series.
+  std::vector<FlowNetwork::LinkStats> totals[2];
+  for (const LinkStatsMode mode :
+       {LinkStatsMode::kTotals, LinkStatsMode::kTotalsAndSeries}) {
+    Engine e;
+    NetConfig c = cfg(3.0, 2.0);
+    c.link_stats = mode;
+    FlowNetwork net(e, Torus3D({4, 4, 4}), c);
+    spawn_random_waves(e, net);
+    e.run();
+    const bool series = mode == LinkStatsMode::kTotalsAndSeries;
+    EXPECT_EQ(net.class_samples().empty(), !series);
+    for (LinkId l = 0; l < net.topology().total_link_count(); ++l)
+      totals[series ? 1 : 0].push_back(net.link_stats(l));
+  }
+  ASSERT_EQ(totals[0].size(), totals[1].size());
+  for (std::size_t l = 0; l < totals[0].size(); ++l) {
+    EXPECT_EQ(totals[0][l].bytes, totals[1][l].bytes) << "link " << l;
+    EXPECT_EQ(totals[0][l].busy_time, totals[1][l].busy_time);
+    EXPECT_EQ(totals[0][l].contended_time, totals[1][l].contended_time);
+    EXPECT_EQ(totals[0][l].peak_load, totals[1][l].peak_load);
+  }
+}
+
 TEST(FlowNetwork, LinkStatsOffByDefault) {
   Engine e;
   FlowNetwork net(e, Torus3D({2, 1, 1}), cfg());
   EXPECT_FALSE(net.stats_enabled());
   EXPECT_THROW((void)net.link_stats(0), UsageError);
+  EXPECT_TRUE(net.class_samples().empty());
 }
 
 }  // namespace

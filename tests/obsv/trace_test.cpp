@@ -242,6 +242,38 @@ TEST(Session, MetricsOnlySweepAllocatesNoRing) {
   Session::stop();
 }
 
+/// The per-class flow series has one reader, the Chrome trace: under
+/// metrics-only and profile-only sessions a World's summary carries its
+/// link totals but no series; under a tracing session it carries both.
+TEST(SessionE2E, ClassSeriesOnlyUnderTracing) {
+  struct Case {
+    const char* name;
+    Options opt;
+  };
+  Case cases[3] = {{"metrics", {}}, {"profiling", {}}, {"tracing", {}}};
+  cases[0].opt.metrics = true;
+  cases[1].opt.profiling = true;
+  cases[2].opt.tracing = true;
+  for (const Case& c : cases) {
+    Session& session = Session::start(c.opt);
+    {
+      vmpi::WorldConfig cfg;
+      cfg.machine = machine::xt4();
+      cfg.nranks = 8;
+      vmpi::World w(std::move(cfg));
+      w.run([](vmpi::Comm& comm) -> Task<void> {
+        co_await comm.send_wait((comm.rank() + 1) % comm.size(), 0, 1.0e5);
+        (void)co_await comm.recv(vmpi::kAnySource, 0);
+      });
+    }
+    ASSERT_EQ(session.summaries().size(), 1u) << c.name;
+    const WorldSummary& s = session.summaries()[0];
+    EXPECT_FALSE(s.links.empty()) << c.name;
+    EXPECT_EQ(s.class_series.empty(), !c.opt.tracing) << c.name;
+    Session::stop();
+  }
+}
+
 TEST(SessionE2E, WorldWithoutSessionHasNullObs) {
   ASSERT_EQ(Session::active(), nullptr);
   vmpi::WorldConfig cfg;
