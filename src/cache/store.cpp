@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
 #include <unistd.h>
 
+#include "core/bytes.hpp"
 #include "core/cache_stats.hpp"
 #include "core/error.hpp"
 #include "core/report.hpp"
@@ -32,35 +32,17 @@ std::uint64_t fnv1a64(const std::string& s) noexcept {
   return h;
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-std::uint32_t get_u32(const char* p) noexcept {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-std::uint64_t get_u64(const char* p) noexcept {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
 std::string header_for(const Key& key, const std::string& payload) {
-  std::string h;
-  h.reserve(kHeaderBytes);
-  put_u32(h, kMagic);
-  put_u32(h, kFormatVersion);
-  put_u32(h, kSchemaVersion);
-  put_u32(h, 0);  // reserved
-  put_u64(h, key.hi);
-  put_u64(h, key.lo);
-  put_u64(h, payload.size());
-  put_u64(h, fnv1a64(payload));
-  return h;
+  ByteWriter h;
+  h.u32(kMagic);
+  h.u32(kFormatVersion);
+  h.u32(kSchemaVersion);
+  h.u32(0);  // reserved
+  h.u64(key.hi);
+  h.u64(key.lo);
+  h.u64(payload.size());
+  h.u64(fnv1a64(payload));
+  return h.take();
 }
 
 /// Validate a whole entry file; on success `payload` receives the body.
@@ -70,21 +52,22 @@ std::string parse_entry(const std::string& raw, const Key* expect,
                         std::string& payload, Key* key_out,
                         std::uint32_t* schema_out) {
   if (raw.size() < kHeaderBytes) return "truncated header";
-  const char* p = raw.data();
-  if (get_u32(p) != kMagic) return "bad magic";
-  if (get_u32(p + 4) != kFormatVersion) return "format version mismatch";
-  const std::uint32_t schema = get_u32(p + 8);
+  ByteReader r(raw);
+  if (r.u32() != kMagic) return "bad magic";
+  if (r.u32() != kFormatVersion) return "format version mismatch";
+  const std::uint32_t schema = r.u32();
   if (schema_out != nullptr) *schema_out = schema;
+  (void)r.u32();  // reserved
   Key key;
-  key.hi = get_u64(p + 16);
-  key.lo = get_u64(p + 24);
+  key.hi = r.u64();
+  key.lo = r.u64();
   key.valid = true;
   if (key_out != nullptr) *key_out = key;
   if (schema != kSchemaVersion) return "schema version mismatch";
   if (expect != nullptr && (key.hi != expect->hi || key.lo != expect->lo))
     return "key mismatch";
-  const std::uint64_t size = get_u64(p + 32);
-  const std::uint64_t sum = get_u64(p + 40);
+  const std::uint64_t size = r.u64();
+  const std::uint64_t sum = r.u64();
   if (raw.size() != kHeaderBytes + size) return "truncated payload";
   payload.assign(raw, kHeaderBytes, static_cast<std::size_t>(size));
   if (fnv1a64(payload) != sum) {

@@ -16,21 +16,24 @@
 ///
 /// Concurrency model (docs/PARALLELISM.md).  The simulator itself is
 /// single-threaded per World, but the sweep runner (runner/sweep.hpp)
-/// runs independent Worlds on several host threads.  The hot recording
-/// paths (span emission, metric updates) are never locked; instead each
-/// sweep task gets a *Shard* — a thread-confined TraceSink + Registry +
-/// result buffers — installed via ShardScope.  Worlds built while a
-/// shard is current record exclusively into it.  After the sweep joins,
-/// Session::absorb() folds the shards back in *sweep-submission order*,
-/// remapping interned name ids and world ordinals, so the merged
-/// session state is bit-for-bit identical at any --jobs=N.  The few
-/// Session-level mutations that can race (direct register_world /
-/// summary pushes from unsharded threads) are mutex-guarded.
+/// runs independent Worlds on several host threads.  All recording
+/// lands in a *Shard* — a TraceSink + Registry + result buffers.  The
+/// session owns one shard of its own, which Worlds built outside a sweep
+/// record into.  The hot recording paths (span emission, metric updates)
+/// are never locked; instead each sweep task gets a thread-confined
+/// shard installed via ShardScope, and Worlds built while it is current
+/// record exclusively into it.  After the sweep joins, Session::absorb()
+/// folds the shards into the session's shard in *sweep-submission
+/// order*, remapping interned name ids and world ordinals, so the merged
+/// session state is bit-for-bit identical at any --jobs=N.  World
+/// registration and record pushes on the session's own shard, and
+/// absorb(), are guarded by Session::mu_.
 ///
 /// Lifetime rules: destroy all Worlds registered with a session before
-/// calling Session::stop() — WorldObs handles are owned by the session
-/// (or by the shard they were registered through).  Session::start/stop
-/// must not be called while a sweep is running.
+/// calling Session::stop() — WorldObs handles are owned by the shard
+/// they were registered through, and absorb() hands them to the
+/// session's shard.  Session::start/stop must not be called while a
+/// sweep is running.
 
 #include <cstdint>
 #include <memory>
@@ -135,8 +138,8 @@ class Session;
 class Shard;
 
 /// Per-world handle; a World holds `WorldObs* obs_` (null = disabled).
-/// All recording routes through the owning shard when the world was
-/// registered under a ShardScope, so it is confined to that thread.
+/// All recording routes through the shard the world was registered
+/// with: the current thread's ShardScope shard, else the session's own.
 class WorldObs {
  public:
   [[nodiscard]] bool tracing() const noexcept;
@@ -180,16 +183,17 @@ class WorldObs {
   [[nodiscard]] TraceSink& sink_mut() noexcept;
 
   Session* session_;
-  Shard* shard_;  ///< null when registered directly on the session
+  Shard* shard_;  ///< the shard this world records into (never null)
   std::uint32_t world_;
   std::uint64_t msg_ids_ = 0;
   std::unique_ptr<WorldProfile> prof_;  ///< null unless Options::profiling
 };
 
-/// Thread-confined observability state for one sweep task.  Created on
-/// the submitting thread, written by exactly one worker thread while a
-/// ShardScope is active there, then absorbed back into the session (in
-/// sweep order) after the pool joins.
+/// One container of recorded observability state.  A sweep task's shard
+/// is created on the submitting thread, written by exactly one worker
+/// thread while a ShardScope is active there, then absorbed into the
+/// session (in sweep order) after the pool joins.  The session's own
+/// shard takes Worlds registered outside a sweep, under Session::mu_.
 class Shard {
  public:
   explicit Shard(Session& session);
@@ -203,6 +207,12 @@ class Shard {
   /// Worlds registered through this shard so far.
   [[nodiscard]] std::uint32_t worlds() const noexcept { return next_world_; }
 
+  /// Append a teardown record (WorldObs forwards the World's and the
+  /// filesystem's summaries and the finalized profile here).
+  void add(WorldSummary s);
+  void add(IoSummary s);
+  void add(WorldProfileResult p);
+
  private:
   friend class Session;
   friend class WorldObs;
@@ -212,6 +222,9 @@ class Shard {
   WorldObs* register_world();
 
   Session* session_;
+  /// Session::mu_ on the session's own shard; null on a sweep shard,
+  /// which only its one thread writes.
+  std::mutex* mu_ = nullptr;
   TraceSink sink_;
   Registry registry_;
   std::uint32_t next_world_ = 0;  ///< shard-local ordinals, rebased on absorb
@@ -248,34 +261,31 @@ class Session {
   [[nodiscard]] bool tracing() const noexcept { return opt_.tracing; }
   [[nodiscard]] bool metrics() const noexcept { return opt_.metrics; }
   [[nodiscard]] bool profiling() const noexcept { return opt_.profiling; }
-  [[nodiscard]] TraceSink& sink() noexcept { return sink_; }
-  [[nodiscard]] const TraceSink& sink() const noexcept { return sink_; }
-  [[nodiscard]] Registry& registry() noexcept { return registry_; }
+  [[nodiscard]] TraceSink& sink() noexcept { return root_.sink_; }
+  [[nodiscard]] const TraceSink& sink() const noexcept { return root_.sink_; }
+  [[nodiscard]] Registry& registry() noexcept { return root_.registry_; }
   [[nodiscard]] const Registry& registry() const noexcept {
-    return registry_;
+    return root_.registry_;
   }
 
-  /// Register a World; the returned handle is owned by the session (or
-  /// by the current thread's shard when one is installed).
+  /// Register a World; the returned handle is owned by the current
+  /// thread's shard when one is installed, else by the session's own.
   WorldObs* register_world();
-  void add_world_summary(WorldSummary s);
   [[nodiscard]] const std::vector<WorldSummary>& summaries() const noexcept {
-    return summaries_;
+    return root_.summaries_;
   }
-  void add_io_summary(IoSummary s);
   [[nodiscard]] const std::vector<IoSummary>& io_summaries() const noexcept {
-    return io_summaries_;
+    return root_.io_summaries_;
   }
-  void add_world_profile(WorldProfileResult p);
   [[nodiscard]] const std::vector<WorldProfileResult>& profiles()
       const noexcept {
-    return profiles_;
+    return root_.profiles_;
   }
 
-  /// Fold a completed shard back in: remap its interned name ids into
-  /// the session sink, rebase its world ordinals past the worlds
-  /// absorbed so far, append spans/summaries/profiles, and merge its
-  /// registry.  Callers (the sweep runner) absorb shards in sweep
+  /// Fold a completed shard into the session's own: remap its interned
+  /// name ids into the session sink, rebase its world ordinals past the
+  /// worlds recorded so far, append spans/summaries/profiles, and merge
+  /// its registry.  Callers (the sweep runner) absorb shards in sweep
   /// submission order, which makes the merged state deterministic.
   void absorb(Shard&& shard);
 
@@ -283,18 +293,12 @@ class Session {
 
  private:
   Options opt_;
-  TraceSink sink_;
-  Registry registry_;
-  std::uint32_t next_world_ = 0;
-  std::vector<std::unique_ptr<WorldObs>> worlds_;
-  std::vector<WorldSummary> summaries_;
-  std::vector<IoSummary> io_summaries_;
-  std::vector<WorldProfileResult> profiles_;
-  // Guards the slow-path mutations above (world registration, summary
-  // and profile pushes, shard absorption) against unsharded threads.
-  // Span emission and metric updates are deliberately unguarded: they
-  // are thread-confined by the shard design.
+  // Guards the session's own shard against unsharded threads: world
+  // registration, record pushes and shard absorption.  Span emission
+  // and metric updates are deliberately unguarded: they are
+  // thread-confined by the shard design.
   std::mutex mu_;
+  Shard root_;
 };
 
 }  // namespace xts::obsv

@@ -1,5 +1,8 @@
 #include "obsv/snapshot.hpp"
 
+#include <array>
+#include <concepts>
+#include <type_traits>
 #include <vector>
 
 #include "core/bytes.hpp"
@@ -12,417 +15,259 @@ namespace {
 constexpr std::uint32_t kMagic = 0x53535458u;  // "XTSS"
 constexpr std::uint32_t kVersion = 2;
 
-// -- encode helpers ----------------------------------------------------
+// -- record layouts ----------------------------------------------------
+//
+// Each record's wire layout is one field list, walked by Writer on
+// encode (const record) and by Reader on decode.  Fields go in list
+// order: integers and doubles at their fixed width, bools and enums as
+// one byte, strings and vectors as a u64 count then their elements,
+// arrays as their elements alone.
 
-void put_registry(ByteWriter& w, const Registry& reg) {
-  w.u64(reg.counters().size());
-  for (const auto& [family, labels] : reg.counters()) {
+template <typename S, typename T>
+concept Rec = std::same_as<std::remove_const_t<S>, T>;
+
+// size_t fields (WorldSummary::peak_flows, RunningStats::Raw::n) go as u64.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>);
+
+void fields(auto& io, Rec<LinkUsage> auto& l) {
+  io(l.link, l.cls, l.bytes, l.busy_time, l.contended_time, l.peak_load);
+}
+
+void fields(auto& io, Rec<WorldSummary> auto& s) {
+  // class_series is trace-only and never cached (snapshot.hpp).
+  io(s.world, s.nranks, s.nodes, s.end_time, s.messages, s.bytes_sent,
+     s.net_delivered, s.peak_flows, s.engine_events, s.links);
+}
+
+void fields(auto& io, Rec<OstUsage> auto& o) {
+  io(o.ost, o.oss, o.bytes, o.busy_time, o.contended_time, o.peak_jobs,
+     o.peak_queue, o.chunks);
+}
+
+void fields(auto& io, Rec<OssLinkUsage> auto& o) {
+  io(o.oss, o.bytes, o.busy_time, o.contended_time, o.peak_jobs);
+}
+
+void fields(auto& io, Rec<IoSummary> auto& s) {
+  io(s.world, s.mds_ops, s.creates, s.commits, s.mds_busy_time,
+     s.mds_wait_time, s.mds_peak_queue, s.bytes_written, s.bytes_read,
+     s.lock_conflicts, s.lock_wait_time, s.stripe_imbalance_max, s.osts,
+     s.oss_links);
+}
+
+void fields(auto& io, Rec<Imbalance> auto& i) {
+  io(i.mean, i.max, i.stddev, i.argmax);
+}
+
+void fields(auto& io, Rec<RankProfile> auto& r) { io(r.buckets); }
+
+void fields(auto& io, Rec<PhaseProfile> auto& ph) {
+  io(ph.name, ph.total, ph.time, ph.stragglers);
+}
+
+void fields(auto& io, Rec<MatrixEntry> auto& m) {
+  io(m.src, m.dst, m.messages, m.bytes, m.latency_sum);
+}
+
+void fields(auto& io, Rec<CritStep> auto& s) {
+  io(s.kind, s.rank, s.other, s.t0, s.t1, s.bytes, s.buckets);
+}
+
+void fields(auto& io, Rec<CritLink> auto& l) { io(l.link, l.cls, l.count); }
+
+void fields(auto& io, Rec<CritPath> auto& cp) {
+  io(cp.steps, cp.buckets, cp.length, cp.t_start, cp.t_end, cp.messages,
+     cp.ranks, cp.links, cp.truncated);
+}
+
+void fields(auto& io, Rec<RunningStats::Raw> auto& raw) {
+  io(raw.n, raw.mean, raw.m2, raw.min, raw.max, raw.sum);
+}
+
+void fields(auto& io, Rec<WorldProfileResult> auto& p) {
+  io(p.world, p.nranks, p.t_start, p.t_end, p.ranks, p.phases,
+     p.bucket_imbalance, p.stragglers, p.matrix, p.messages, p.bytes,
+     p.critical_path, p.dropped_records);
+}
+
+class Writer : public ByteWriter {
+ public:
+  template <typename... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
+  }
+
+ private:
+  void put(std::uint32_t v) { u32(v); }
+  void put(std::int32_t v) { i32(v); }
+  void put(std::uint64_t v) { u64(v); }
+  void put(double v) { f64(v); }
+  void put(bool v) { u8(v ? 1 : 0); }
+  void put(const std::string& v) { str(v); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void put(E v) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  template <typename T, std::size_t N>
+  void put(const std::array<T, N>& a) {
+    for (const T& v : a) put(v);
+  }
+  template <typename T>
+  void put(const std::vector<T>& vs) {
+    u64(vs.size());
+    for (const T& v : vs) put(v);
+  }
+  template <typename T>
+    requires std::is_class_v<T>
+  void put(const T& rec) {
+    fields(*this, rec);
+  }
+};
+
+/// The fewest bytes a T... can encode to: the encoding of default
+/// values, whose strings and vectors are empty.  A decoded count larger
+/// than remaining() / this cannot be honest.  Computed at static
+/// initialization, so a decode never allocates for it.
+template <typename... T>
+const std::size_t min_bytes = [] {
+  Writer w;
+  w(T{}...);
+  return w.size();
+}();
+
+class Reader : public ByteReader {
+ public:
+  using ByteReader::ByteReader;
+
+  template <typename... T>
+  void operator()(T&... v) {
+    (get(v), ...);
+  }
+
+ private:
+  void get(std::uint32_t& v) { v = u32(); }
+  void get(std::int32_t& v) { v = i32(); }
+  void get(std::uint64_t& v) { v = u64(); }
+  void get(double& v) { v = f64(); }
+  void get(bool& v) { v = u8() != 0; }
+  void get(std::string& v) { v = str(); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void get(E& v) {
+    v = static_cast<E>(u8());
+  }
+  template <typename T, std::size_t N>
+  void get(std::array<T, N>& a) {
+    for (T& v : a) get(v);
+  }
+  template <typename T>
+  void get(std::vector<T>& vs) {
+    const std::uint64_t n = u64();
+    if (!fits(n, min_bytes<T>)) return;
+    vs.resize(static_cast<std::size_t>(n));
+    for (T& v : vs) {
+      if (!ok()) return;
+      get(v);
+    }
+  }
+  template <typename T>
+    requires std::is_class_v<T>
+  void get(T& rec) {
+    fields(*this, rec);
+  }
+};
+
+// -- registry ----------------------------------------------------------
+//
+// Metrics are reached through Registry accessors rather than fields, so
+// the two directions are spelled out.  Each metric kind is a u64 count of
+// families, each a name then a u64 count of labels, each a label then the
+// metric's own fields.
+
+template <typename Families, typename Put>
+void put_families(Writer& w, const Families& families, Put put_metric) {
+  w.u64(families.size());
+  for (const auto& [family, labels] : families) {
     w.str(family);
     w.u64(labels.size());
-    for (const auto& [label, c] : labels) {
+    for (const auto& [label, metric] : labels) {
       w.str(label);
-      w.f64(c.value());
-    }
-  }
-  w.u64(reg.gauges().size());
-  for (const auto& [family, labels] : reg.gauges()) {
-    w.str(family);
-    w.u64(labels.size());
-    for (const auto& [label, g] : labels) {
-      w.str(label);
-      w.f64(g.value());
-      w.f64(g.max());
-      w.u8(g.seen() ? 1 : 0);
-    }
-  }
-  w.u64(reg.histograms().size());
-  for (const auto& [family, labels] : reg.histograms()) {
-    w.str(family);
-    w.u64(labels.size());
-    for (const auto& [label, h] : labels) {
-      w.str(label);
-      const RunningStats::Raw raw = h.stats().raw();
-      w.u64(raw.n);
-      w.f64(raw.mean);
-      w.f64(raw.m2);
-      w.f64(raw.min);
-      w.f64(raw.max);
-      w.f64(raw.sum);
-      const auto& samples = h.samples().samples();
-      w.u64(samples.size());
-      for (const double v : samples) w.f64(v);
+      put_metric(metric);
     }
   }
 }
 
-void put_summary(ByteWriter& w, const WorldSummary& s) {
-  w.u32(s.world);
-  w.i32(s.nranks);
-  w.i32(s.nodes);
-  w.f64(s.end_time);
-  w.u64(s.messages);
-  w.f64(s.bytes_sent);
-  w.f64(s.net_delivered);
-  w.u64(s.peak_flows);
-  w.u64(s.engine_events);
-  w.u64(s.links.size());
-  for (const auto& l : s.links) {
-    w.i32(l.link);
-    w.i32(l.cls);
-    w.f64(l.bytes);
-    w.f64(l.busy_time);
-    w.f64(l.contended_time);
-    w.i32(l.peak_load);
-  }
+void put_registry(Writer& w, const Registry& reg) {
+  put_families(w, reg.counters(), [&](const Counter& c) { w(c.value()); });
+  put_families(w, reg.gauges(), [&](const Gauge& g) {
+    w(g.value(), g.max(), g.seen());
+  });
+  put_families(w, reg.histograms(), [&](const Histogram& h) {
+    w(h.stats().raw(), h.samples().samples());
+  });
 }
 
-void put_io_summary(ByteWriter& w, const IoSummary& s) {
-  w.u32(s.world);
-  w.u64(s.mds_ops);
-  w.u64(s.creates);
-  w.u64(s.commits);
-  w.f64(s.mds_busy_time);
-  w.f64(s.mds_wait_time);
-  w.i32(s.mds_peak_queue);
-  w.f64(s.bytes_written);
-  w.f64(s.bytes_read);
-  w.u64(s.lock_conflicts);
-  w.f64(s.lock_wait_time);
-  w.f64(s.stripe_imbalance_max);
-  w.u64(s.osts.size());
-  for (const auto& o : s.osts) {
-    w.i32(o.ost);
-    w.i32(o.oss);
-    w.f64(o.bytes);
-    w.f64(o.busy_time);
-    w.f64(o.contended_time);
-    w.i32(o.peak_jobs);
-    w.i32(o.peak_queue);
-    w.u64(o.chunks);
-  }
-  w.u64(s.oss_links.size());
-  for (const auto& o : s.oss_links) {
-    w.i32(o.oss);
-    w.f64(o.bytes);
-    w.f64(o.busy_time);
-    w.f64(o.contended_time);
-    w.i32(o.peak_jobs);
-  }
-}
-
-void put_buckets(ByteWriter& w, const BucketArray& b) {
-  for (const double v : b) w.f64(v);
-}
-
-void put_imbalance(ByteWriter& w, const Imbalance& i) {
-  w.f64(i.mean);
-  w.f64(i.max);
-  w.f64(i.stddev);
-  w.i32(i.argmax);
-}
-
-void put_profile(ByteWriter& w, const WorldProfileResult& p) {
-  w.u32(p.world);
-  w.i32(p.nranks);
-  w.f64(p.t_start);
-  w.f64(p.t_end);
-  w.u64(p.ranks.size());
-  for (const auto& r : p.ranks) put_buckets(w, r.buckets);
-  w.u64(p.phases.size());
-  for (const auto& ph : p.phases) {
-    w.str(ph.name);
-    put_buckets(w, ph.total);
-    put_imbalance(w, ph.time);
-    w.u64(ph.stragglers.size());
-    for (const int r : ph.stragglers) w.i32(r);
-  }
-  for (const auto& i : p.bucket_imbalance) put_imbalance(w, i);
-  w.u64(p.stragglers.size());
-  for (const int r : p.stragglers) w.i32(r);
-  w.u64(p.matrix.size());
-  for (const auto& m : p.matrix) {
-    w.i32(m.src);
-    w.i32(m.dst);
-    w.u64(m.messages);
-    w.f64(m.bytes);
-    w.f64(m.latency_sum);
-  }
-  w.u64(p.messages);
-  w.f64(p.bytes);
-  const CritPath& cp = p.critical_path;
-  w.u64(cp.steps.size());
-  for (const auto& s : cp.steps) {
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.i32(s.rank);
-    w.i32(s.other);
-    w.f64(s.t0);
-    w.f64(s.t1);
-    w.f64(s.bytes);
-    put_buckets(w, s.buckets);
-  }
-  put_buckets(w, cp.buckets);
-  w.f64(cp.length);
-  w.f64(cp.t_start);
-  w.f64(cp.t_end);
-  w.u64(cp.messages);
-  w.u64(cp.ranks.size());
-  for (const int r : cp.ranks) w.i32(r);
-  w.u64(cp.links.size());
-  for (const auto& l : cp.links) {
-    w.i32(l.link);
-    w.i32(l.cls);
-    w.u64(l.count);
-  }
-  w.u8(cp.truncated ? 1 : 0);
-  w.u64(p.dropped_records);
-}
-
-// -- decode helpers ----------------------------------------------------
-
-bool get_registry(ByteReader& r, Registry& reg) {
-  const std::uint64_t ncf = r.u64();
-  if (!r.fits(ncf, 16)) return false;
-  for (std::uint64_t f = 0; f < ncf; ++f) {
+/// `get_metric(family, label)` reads one metric, whose fields encode to
+/// at least min_bytes<Metric...>.
+template <typename... Metric, typename Get>
+bool get_families(Reader& r, Get get_metric) {
+  const std::uint64_t nfamilies = r.u64();
+  if (!r.fits(nfamilies, min_bytes<std::string, std::uint64_t>))
+    return false;
+  for (std::uint64_t f = 0; f < nfamilies; ++f) {
     const std::string family = r.str();
-    const std::uint64_t nl = r.u64();
-    if (!r.fits(nl, 16)) return false;
-    for (std::uint64_t i = 0; i < nl; ++i) {
+    const std::uint64_t nlabels = r.u64();
+    if (!r.fits(nlabels, min_bytes<std::string, Metric...>)) return false;
+    for (std::uint64_t i = 0; i < nlabels; ++i) {
       const std::string label = r.str();
-      const double value = r.f64();
+      get_metric(family, label);
       if (!r.ok()) return false;
-      reg.counter(family, label).add(value);
     }
   }
-  const std::uint64_t ngf = r.u64();
-  if (!r.fits(ngf, 16)) return false;
-  for (std::uint64_t f = 0; f < ngf; ++f) {
-    const std::string family = r.str();
-    const std::uint64_t nl = r.u64();
-    if (!r.fits(nl, 25)) return false;
-    for (std::uint64_t i = 0; i < nl; ++i) {
-      const std::string label = r.str();
-      const double value = r.f64();
-      const double max = r.f64();
-      const bool seen = r.u8() != 0;
-      if (!r.ok()) return false;
-      reg.gauge(family, label).restore(value, max, seen);
-    }
-  }
-  const std::uint64_t nhf = r.u64();
-  if (!r.fits(nhf, 16)) return false;
-  for (std::uint64_t f = 0; f < nhf; ++f) {
-    const std::string family = r.str();
-    const std::uint64_t nl = r.u64();
-    if (!r.fits(nl, 16)) return false;
-    for (std::uint64_t i = 0; i < nl; ++i) {
-      const std::string label = r.str();
-      RunningStats::Raw raw;
-      raw.n = static_cast<std::size_t>(r.u64());
-      raw.mean = r.f64();
-      raw.m2 = r.f64();
-      raw.min = r.f64();
-      raw.max = r.f64();
-      raw.sum = r.f64();
-      const std::uint64_t ns = r.u64();
-      if (!r.fits(ns, 8)) return false;
-      std::vector<double> samples(static_cast<std::size_t>(ns));
-      for (auto& v : samples) v = r.f64();
-      if (!r.ok()) return false;
-      reg.histogram(family, label).restore(raw, std::move(samples));
-    }
-  }
-  return r.ok();
+  return true;
 }
 
-bool get_summary(ByteReader& r, WorldSummary& s) {
-  s.world = r.u32();
-  s.nranks = r.i32();
-  s.nodes = r.i32();
-  s.end_time = r.f64();
-  s.messages = r.u64();
-  s.bytes_sent = r.f64();
-  s.net_delivered = r.f64();
-  s.peak_flows = static_cast<std::size_t>(r.u64());
-  s.engine_events = r.u64();
-  const std::uint64_t nlinks = r.u64();
-  if (!r.fits(nlinks, 36)) return false;
-  s.links.resize(static_cast<std::size_t>(nlinks));
-  for (auto& l : s.links) {
-    l.link = r.i32();
-    l.cls = r.i32();
-    l.bytes = r.f64();
-    l.busy_time = r.f64();
-    l.contended_time = r.f64();
-    l.peak_load = r.i32();
-  }
-  return r.ok();
-}
-
-bool get_io_summary(ByteReader& r, IoSummary& s) {
-  s.world = r.u32();
-  s.mds_ops = r.u64();
-  s.creates = r.u64();
-  s.commits = r.u64();
-  s.mds_busy_time = r.f64();
-  s.mds_wait_time = r.f64();
-  s.mds_peak_queue = r.i32();
-  s.bytes_written = r.f64();
-  s.bytes_read = r.f64();
-  s.lock_conflicts = r.u64();
-  s.lock_wait_time = r.f64();
-  s.stripe_imbalance_max = r.f64();
-  const std::uint64_t nosts = r.u64();
-  if (!r.fits(nosts, 48)) return false;
-  s.osts.resize(static_cast<std::size_t>(nosts));
-  for (auto& o : s.osts) {
-    o.ost = r.i32();
-    o.oss = r.i32();
-    o.bytes = r.f64();
-    o.busy_time = r.f64();
-    o.contended_time = r.f64();
-    o.peak_jobs = r.i32();
-    o.peak_queue = r.i32();
-    o.chunks = r.u64();
-  }
-  const std::uint64_t nlinks = r.u64();
-  if (!r.fits(nlinks, 32)) return false;
-  s.oss_links.resize(static_cast<std::size_t>(nlinks));
-  for (auto& o : s.oss_links) {
-    o.oss = r.i32();
-    o.bytes = r.f64();
-    o.busy_time = r.f64();
-    o.contended_time = r.f64();
-    o.peak_jobs = r.i32();
-  }
-  return r.ok();
-}
-
-bool get_buckets(ByteReader& r, BucketArray& b) {
-  for (auto& v : b) v = r.f64();
-  return r.ok();
-}
-
-bool get_imbalance(ByteReader& r, Imbalance& i) {
-  i.mean = r.f64();
-  i.max = r.f64();
-  i.stddev = r.f64();
-  i.argmax = r.i32();
-  return r.ok();
-}
-
-bool get_profile(ByteReader& r, WorldProfileResult& p) {
-  p.world = r.u32();
-  p.nranks = r.i32();
-  p.t_start = r.f64();
-  p.t_end = r.f64();
-  const std::uint64_t nranks = r.u64();
-  if (!r.fits(nranks, sizeof(double) * kBuckets)) return false;
-  p.ranks.resize(static_cast<std::size_t>(nranks));
-  for (auto& rk : p.ranks)
-    if (!get_buckets(r, rk.buckets)) return false;
-  const std::uint64_t nphases = r.u64();
-  if (!r.fits(nphases, 8)) return false;
-  p.phases.resize(static_cast<std::size_t>(nphases));
-  for (auto& ph : p.phases) {
-    ph.name = r.str();
-    if (!get_buckets(r, ph.total)) return false;
-    if (!get_imbalance(r, ph.time)) return false;
-    const std::uint64_t ns = r.u64();
-    if (!r.fits(ns, 4)) return false;
-    ph.stragglers.resize(static_cast<std::size_t>(ns));
-    for (auto& v : ph.stragglers) v = r.i32();
-  }
-  for (auto& i : p.bucket_imbalance)
-    if (!get_imbalance(r, i)) return false;
-  const std::uint64_t nstrag = r.u64();
-  if (!r.fits(nstrag, 4)) return false;
-  p.stragglers.resize(static_cast<std::size_t>(nstrag));
-  for (auto& v : p.stragglers) v = r.i32();
-  const std::uint64_t nmat = r.u64();
-  if (!r.fits(nmat, 32)) return false;
-  p.matrix.resize(static_cast<std::size_t>(nmat));
-  for (auto& m : p.matrix) {
-    m.src = r.i32();
-    m.dst = r.i32();
-    m.messages = r.u64();
-    m.bytes = r.f64();
-    m.latency_sum = r.f64();
-  }
-  p.messages = r.u64();
-  p.bytes = r.f64();
-  CritPath& cp = p.critical_path;
-  const std::uint64_t nsteps = r.u64();
-  if (!r.fits(nsteps, 25 + sizeof(double) * kBuckets)) return false;
-  cp.steps.resize(static_cast<std::size_t>(nsteps));
-  for (auto& s : cp.steps) {
-    s.kind = static_cast<CritStep::Kind>(r.u8());
-    s.rank = r.i32();
-    s.other = r.i32();
-    s.t0 = r.f64();
-    s.t1 = r.f64();
-    s.bytes = r.f64();
-    if (!get_buckets(r, s.buckets)) return false;
-  }
-  if (!get_buckets(r, cp.buckets)) return false;
-  cp.length = r.f64();
-  cp.t_start = r.f64();
-  cp.t_end = r.f64();
-  cp.messages = r.u64();
-  const std::uint64_t nranks_cp = r.u64();
-  if (!r.fits(nranks_cp, 4)) return false;
-  cp.ranks.resize(static_cast<std::size_t>(nranks_cp));
-  for (auto& v : cp.ranks) v = r.i32();
-  const std::uint64_t nlinks = r.u64();
-  if (!r.fits(nlinks, 16)) return false;
-  cp.links.resize(static_cast<std::size_t>(nlinks));
-  for (auto& l : cp.links) {
-    l.link = r.i32();
-    l.cls = r.i32();
-    l.count = r.u64();
-  }
-  cp.truncated = r.u8() != 0;
-  p.dropped_records = r.u64();
-  return r.ok();
+bool get_registry(Reader& r, Registry& reg) {
+  using Name = const std::string&;
+  const auto counter = [&](Name family, Name label) {
+    reg.counter(family, label).add(r.f64());
+  };
+  const auto gauge = [&](Name family, Name label) {
+    double value = 0.0;
+    double max = 0.0;
+    bool seen = false;
+    r(value, max, seen);
+    reg.gauge(family, label).restore(value, max, seen);
+  };
+  const auto histogram = [&](Name family, Name label) {
+    RunningStats::Raw raw;
+    std::vector<double> samples;
+    r(raw, samples);
+    reg.histogram(family, label).restore(raw, std::move(samples));
+  };
+  return get_families<double>(r, counter) &&
+         get_families<double, double, bool>(r, gauge) &&
+         get_families<RunningStats::Raw, std::vector<double>>(r, histogram);
 }
 
 }  // namespace
 
 std::string ShardSnapshot::encode(const Shard& shard) {
-  ByteWriter w;
-  w.u32(kMagic);
-  w.u32(kVersion);
-  w.u32(shard.next_world_);
+  Writer w;
+  w(kMagic, kVersion, shard.next_world_);
   put_registry(w, shard.registry_);
-  w.u64(shard.summaries_.size());
-  for (const auto& s : shard.summaries_) put_summary(w, s);
-  w.u64(shard.io_summaries_.size());
-  for (const auto& s : shard.io_summaries_) put_io_summary(w, s);
-  w.u64(shard.profiles_.size());
-  for (const auto& p : shard.profiles_) put_profile(w, p);
+  w(shard.summaries_, shard.io_summaries_, shard.profiles_);
   return w.take();
 }
 
 bool ShardSnapshot::decode(Shard& shard, std::string_view data) {
-  ByteReader r(data);
+  Reader r(data);
   if (r.u32() != kMagic) return false;
   if (r.u32() != kVersion) return false;
-  shard.next_world_ = r.u32();
+  r(shard.next_world_);
   if (!get_registry(r, shard.registry_)) return false;
-  const std::uint64_t nsum = r.u64();
-  if (!r.fits(nsum, 8)) return false;
-  shard.summaries_.resize(static_cast<std::size_t>(nsum));
-  for (auto& s : shard.summaries_)
-    if (!get_summary(r, s)) return false;
-  const std::uint64_t nio = r.u64();
-  if (!r.fits(nio, 8)) return false;
-  shard.io_summaries_.resize(static_cast<std::size_t>(nio));
-  for (auto& s : shard.io_summaries_)
-    if (!get_io_summary(r, s)) return false;
-  const std::uint64_t nprof = r.u64();
-  if (!r.fits(nprof, 8)) return false;
-  shard.profiles_.resize(static_cast<std::size_t>(nprof));
-  for (auto& p : shard.profiles_)
-    if (!get_profile(r, p)) return false;
+  r(shard.summaries_, shard.io_summaries_, shard.profiles_);
   return r.ok() && r.done();
 }
 

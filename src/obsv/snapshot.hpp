@@ -22,9 +22,12 @@
 ///  - WorldObs handles (worlds_): live-World plumbing, dead by the time
 ///    a shard is absorbed.
 ///
-/// Doubles are stored as exact bit patterns (core/bytes.hpp), and every
-/// decode failure — truncation, bad magic, version skew — returns false
-/// so the caller degrades to a cache miss.
+/// Each record's wire layout is one field list, shared by encode and
+/// decode.  Doubles are stored as exact bit patterns (core/bytes.hpp).
+/// Every count is checked against the bytes left, with the per-element
+/// minimum taken from the encoding of a default element, before any
+/// container is sized.  Every decode failure — truncation, bad magic,
+/// version skew — returns false so the caller degrades to a cache miss.
 
 #include <string>
 #include <string_view>

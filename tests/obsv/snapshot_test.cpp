@@ -83,6 +83,90 @@ bool decode_fresh(Session& session, std::string_view data) {
   return ok;
 }
 
+/// Fill `shard` by hand with every record kind the snapshot carries:
+/// counter, gauge (seen and unseen) and histogram metrics, a world
+/// summary with a link, an I/O summary with an OST and an OSS link, and
+/// a profile with a phase, a matrix cell and a truncated critical path.
+void fill_every_record(Session& session, Shard& shard) {
+  {
+    const ShardScope scope(&shard);
+    Registry& reg = session.register_world()->registry();
+    reg.counter("snap.counter", "a").add(1.5);
+    reg.gauge("snap.gauge", "seen").set(2.25);
+    (void)reg.gauge("snap.gauge", "unseen");
+    reg.histogram("snap.hist").add(0.5);
+    reg.histogram("snap.hist").add(4.0);
+  }
+  WorldSummary ws;
+  ws.nranks = 8;
+  ws.nodes = 2;
+  ws.end_time = 1.0e-3;
+  ws.messages = 16;
+  ws.bytes_sent = 65536.0;
+  ws.net_delivered = 32768.0;
+  ws.peak_flows = 4;
+  ws.engine_events = 99;
+  ws.links.push_back({7, 3, 32768.0, 2.0e-4, 1.0e-4, 2});
+  shard.add(std::move(ws));
+  IoSummary io;
+  io.mds_ops = 3;
+  io.creates = 2;
+  io.commits = 1;
+  io.mds_busy_time = 0.125;
+  io.mds_wait_time = 0.0625;
+  io.mds_peak_queue = 2;
+  io.bytes_written = 1048576.0;
+  io.bytes_read = 4096.0;
+  io.lock_conflicts = 5;
+  io.lock_wait_time = 0.25;
+  io.stripe_imbalance_max = 1.5;
+  io.osts.push_back({4, 1, 1048576.0, 0.5, 0.25, 3, 6, 17});
+  io.oss_links.push_back({1, 1048576.0, 0.375, 0.125, 2});
+  shard.add(std::move(io));
+  WorldProfileResult p;
+  p.nranks = 2;
+  p.t_end = 1.0e-3;
+  p.ranks.resize(2);
+  p.ranks[1].buckets[0] = 1.0e-3;
+  PhaseProfile ph;
+  ph.name = "snap.phase";
+  ph.total[1] = 5.0e-4;
+  ph.time = {2.5e-4, 5.0e-4, 2.5e-4, 1};
+  ph.stragglers = {1, 0};
+  p.phases.push_back(std::move(ph));
+  p.bucket_imbalance[2] = {1.0, 2.0, 0.5, 0};
+  p.stragglers = {0};
+  p.matrix.push_back({0, 1, 3, 12288.0, 7.5e-6});
+  p.messages = 3;
+  p.bytes = 12288.0;
+  CritStep step;
+  step.kind = CritStep::Kind::kMessage;
+  step.rank = 0;
+  step.other = 1;
+  step.t1 = 2.5e-6;
+  step.bytes = 4096.0;
+  step.buckets[3] = 2.5e-6;
+  p.critical_path.steps = {CritStep{}, step};
+  p.critical_path.buckets[3] = 2.5e-6;
+  p.critical_path.length = 2.5e-6;
+  p.critical_path.t_end = 2.5e-6;
+  p.critical_path.messages = 1;
+  p.critical_path.ranks = {0, 1};
+  p.critical_path.links.push_back({7, 3, 1});
+  p.critical_path.truncated = true;
+  p.dropped_records = 2;
+  shard.add(std::move(p));
+}
+
+std::uint64_t fnv1a64(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x00000100000001b3ULL;
+  }
+  return h;
+}
+
 class Snapshot : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -111,6 +195,29 @@ TEST_F(Snapshot, DecodeThenEncodeIsByteIdentical) {
   ASSERT_EQ(session_->profiles().size(), 1u);
   EXPECT_FALSE(session_->profiles()[0].matrix.empty());
   EXPECT_FALSE(session_->profiles()[0].phases.empty());
+}
+
+// The wire format is pinned: a hand-built shard holding every record
+// kind encodes to exactly these bytes.  Changing kPinnedSize or
+// kPinnedDigest changes what stored cache entries mean, so it requires
+// bumping the snapshot kVersion (obsv/snapshot.cpp).
+TEST_F(Snapshot, EveryRecordKindRoundTripsToPinnedBytes) {
+  constexpr std::size_t kPinnedSize = 1897;
+  constexpr std::uint64_t kPinnedDigest = 0x473694618c49acceULL;
+  Shard shard(*session_);
+  fill_every_record(*session_, shard);
+  const std::string bytes = ShardSnapshot::encode(shard);
+  Shard decoded(*session_);
+  ASSERT_TRUE(ShardSnapshot::decode(decoded, bytes));
+  EXPECT_EQ(ShardSnapshot::encode(decoded), bytes);
+  EXPECT_EQ(bytes.size(), kPinnedSize);
+  EXPECT_EQ(fnv1a64(bytes), kPinnedDigest);
+  session_->absorb(std::move(decoded));
+  ASSERT_EQ(session_->io_summaries().size(), 1u);
+  EXPECT_EQ(session_->io_summaries()[0].osts.at(0).chunks, 17u);
+  EXPECT_EQ(session_->io_summaries()[0].oss_links.at(0).peak_jobs, 2);
+  ASSERT_EQ(session_->profiles().size(), 1u);
+  EXPECT_TRUE(session_->profiles()[0].critical_path.truncated);
 }
 
 TEST_F(Snapshot, EveryStrictPrefixIsRejected) {

@@ -242,6 +242,56 @@ TEST(Session, MetricsOnlySweepAllocatesNoRing) {
   Session::stop();
 }
 
+/// Worlds registered directly on the session and worlds run in a sweep
+/// share one ordinal sequence and one record order: a direct World, a
+/// 2-point sweep, then another direct World record as worlds 0..3, and
+/// the direct worlds' metrics land in the session registry.
+TEST(SessionE2E, DirectWorldsInterleaveWithSweeps) {
+  Options opt;
+  opt.metrics = true;
+  opt.profiling = true;
+  Session& session = Session::start(opt);
+  auto run_world = [](int nranks, std::uint32_t* ordinal) {
+    vmpi::WorldConfig cfg;
+    cfg.machine = machine::xt4();
+    cfg.nranks = nranks;
+    vmpi::World w(std::move(cfg));
+    if (ordinal != nullptr) *ordinal = w.obs()->ordinal();
+    w.run([](vmpi::Comm& c) -> Task<void> {
+      co_await c.send_wait((c.rank() + 1) % c.size(), 0, 4096.0);
+      (void)co_await c.recv(vmpi::kAnySource, 0);
+    });
+    return w.messages_delivered();
+  };
+  std::uint32_t first = 99;
+  std::uint32_t last = 99;
+  const std::uint64_t d0 = run_world(4, &first);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                session.registry().counter_total("msg.count")),
+            d0);
+  const std::vector<std::uint64_t> swept = runner::sweep(
+      std::vector<std::function<std::uint64_t()>>{
+          [&] { return run_world(8, nullptr); },
+          [&] { return run_world(16, nullptr); }},
+      2);
+  const std::uint64_t d3 = run_world(2, &last);
+  EXPECT_EQ(first, 0u);
+  EXPECT_EQ(last, 3u);
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                session.registry().counter_total("msg.count")),
+            d0 + swept.at(0) + swept.at(1) + d3);
+  const int nranks[4] = {4, 8, 16, 2};
+  ASSERT_EQ(session.summaries().size(), 4u);
+  ASSERT_EQ(session.profiles().size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(session.summaries()[i].world, i);
+    EXPECT_EQ(session.summaries()[i].nranks, nranks[i]);
+    EXPECT_EQ(session.profiles()[i].world, i);
+    EXPECT_EQ(session.profiles()[i].nranks, nranks[i]);
+  }
+  Session::stop();
+}
+
 /// The per-class flow series has one reader, the Chrome trace: under
 /// metrics-only and profile-only sessions a World's summary carries its
 /// link totals but no series; under a tracing session it carries both.

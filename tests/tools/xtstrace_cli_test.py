@@ -7,7 +7,9 @@ Runs <bench> --quick once each with --trace, --profile and
 --telemetry, then checks that every subcommand works on the right file
 kind and that the tool exits nonzero (with a diagnostic) on unknown
 subcommands, missing files, malformed JSON, and files of the wrong
-kind.
+kind.  A --cache-dir run then checks the cache subcommand: every entry
+the bench wrote parses as ok, a truncated entry reads as corrupt, and
+an empty directory is an error.
 """
 
 import os
@@ -90,6 +92,28 @@ def main():
         expect("telemetry cmd missing file",
                run(xts + ["telemetry", os.path.join(tmp, "nope.jsonl")]),
                False)
+
+    with tempfile.TemporaryDirectory(prefix="xtstrace_cache_") as tmp:
+        store = os.path.join(tmp, "store")
+        proc = run([bench, "--quick", "--cache-dir=" + store])
+        if proc.returncode != 0:
+            sys.exit("bench failed with --cache-dir=: %s" % proc.stderr[-500:])
+        entries = sorted(n for n in os.listdir(store) if n.endswith(".xtsc"))
+        if not entries:
+            sys.exit("bench wrote no cache entries under %s" % store)
+        n = len(entries)
+        expect("cache on fresh store", run(xts + ["cache", store]), True,
+               "%d ok, 0 stale, 0 corrupt" % n)
+        victim = os.path.join(store, entries[0])
+        with open(victim, "rb") as f:
+            raw = f.read()
+        with open(victim, "wb") as f:
+            f.write(raw[:len(raw) - 1])
+        expect("cache on truncated entry", run(xts + ["cache", store]), True,
+               "%d ok, 0 stale, 1 corrupt" % (n - 1))
+        empty = os.path.join(tmp, "empty")
+        os.mkdir(empty)
+        expect("cache on empty dir", run(xts + ["cache", empty]), False)
 
     if failures:
         sys.exit("xtstrace_cli_test: %d check(s) failed: %s"
