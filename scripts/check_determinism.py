@@ -31,7 +31,7 @@ Three axes, selected with --vary:
                         stored .xtsc entry, the warm leg's that it hit
                         each one and missed, wrote and corrupted none.
 
-The "== host resources ==" block (getrusage gauges appended by
+The "== host resources ==" block (getrusage facts appended by
 --metrics) and the "== scenario cache ==" block (hit/miss counters of
 the host's cache directory) are scrubbed from stdout before comparison
 in every mode: both report host facts, not simulation outputs.

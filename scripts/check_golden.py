@@ -9,12 +9,20 @@ appends its tables to stdout, some of them host facts; with
 (the same scrub as scripts/check_determinism.py).  Any difference
 prints a unified diff and fails.
 
+--digest ties the goldens to the cache schema: it hashes tests/golden/
+(sorted file names and their bytes) and compares the hash with the one
+recorded below for the current cache::kSchemaVersion, read from
+src/cache/fingerprint.hpp.  A golden therefore cannot change unless
+kSchemaVersion is bumped (so stored cache entries of the old answers
+stop hitting) and the new digest is recorded in GOLDEN_DIGESTS.
+
 Usage:
   check_golden.py --golden tests/golden/<bench>.quick.txt \\
       -- <bench binary> --quick --jobs=2
   check_golden.py --scrub-host \\
       --golden tests/golden/<bench>.metrics.quick.txt \\
       -- <bench binary> --quick --jobs=2 --metrics
+  check_golden.py --digest tests/golden src/cache/fingerprint.hpp
 
 To regenerate a golden after a deliberate model change, run the same
 command line with stdout redirected to the golden file and update
@@ -22,13 +30,59 @@ EXPERIMENTS.md and results/ in the same change.
 """
 
 import difflib
+import hashlib
+import os
+import re
 import subprocess
 import sys
 
 from check_determinism import scrub_stdout
 
+# cache::kSchemaVersion -> SHA-256 of tests/golden/ (golden_digest).
+GOLDEN_DIGESTS = {
+    1: "de88065af6c80b17d5bc53a55955219df4e70f07b5afec9aaad90a08b3b38844",
+}
+
+
+def golden_digest(golden_dir):
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(golden_dir)):
+        with open(os.path.join(golden_dir, name), "rb") as f:
+            data = f.read()
+        h.update(b"%s\0%d\0" % (name.encode(), len(data)))
+        h.update(data)
+    return h.hexdigest()
+
+
+def check_digest(golden_dir, fingerprint_hpp):
+    with open(fingerprint_hpp, encoding="utf-8") as f:
+        m = re.search(r"kSchemaVersion\s*=\s*(\d+)\s*;", f.read())
+    if m is None:
+        print(f"check_golden: FAIL: no kSchemaVersion in {fingerprint_hpp}",
+              file=sys.stderr)
+        return 1
+    schema = int(m.group(1))
+    got = golden_digest(golden_dir)
+    want = GOLDEN_DIGESTS.get(schema)
+    if got == want:
+        print(f"check_golden: OK: {golden_dir} matches kSchemaVersion "
+              f"{schema} ({got})")
+        return 0
+    if want is None:
+        print(f"check_golden: FAIL: kSchemaVersion {schema} has no recorded "
+              f"golden digest; record {got} in GOLDEN_DIGESTS.",
+              file=sys.stderr)
+    else:
+        print(f"check_golden: FAIL: {golden_dir} hashes to {got}, but "
+              f"kSchemaVersion {schema} records {want}.  A golden changed: "
+              "bump kSchemaVersion and record the new digest in "
+              "GOLDEN_DIGESTS.", file=sys.stderr)
+    return 1
+
 
 def main(argv):
+    if argv[:1] == ["--digest"] and len(argv) == 3:
+        return check_digest(argv[1], argv[2])
     scrub_host = argv[:1] == ["--scrub-host"]
     if scrub_host:
         argv = argv[1:]

@@ -1,12 +1,10 @@
 #include "cache/store.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <vector>
 
 #include <unistd.h>
 
@@ -45,36 +43,27 @@ std::string header_for(const Key& key, const std::string& payload) {
   return h.take();
 }
 
-/// Validate a whole entry file; on success `payload` receives the body.
-/// `expect` (optional) must match the header's key.  Returns an empty
-/// string on success, else a short reason.
-std::string parse_entry(const std::string& raw, const Key* expect,
-                        std::string& payload, Key* key_out,
-                        std::uint32_t* schema_out) {
-  if (raw.size() < kHeaderBytes) return "truncated header";
+/// Validate a whole entry file for `key`; on success `payload` receives
+/// the body.  Wrong magic, format or schema version, a key mismatch,
+/// truncation and a bad checksum all return false.
+bool parse_entry(const std::string& raw, const Key& key,
+                 std::string& payload) {
+  if (raw.size() < kHeaderBytes) return false;
   ByteReader r(raw);
-  if (r.u32() != kMagic) return "bad magic";
-  if (r.u32() != kFormatVersion) return "format version mismatch";
-  const std::uint32_t schema = r.u32();
-  if (schema_out != nullptr) *schema_out = schema;
+  if (r.u32() != kMagic || r.u32() != kFormatVersion ||
+      r.u32() != kSchemaVersion)
+    return false;
   (void)r.u32();  // reserved
-  Key key;
-  key.hi = r.u64();
-  key.lo = r.u64();
-  key.valid = true;
-  if (key_out != nullptr) *key_out = key;
-  if (schema != kSchemaVersion) return "schema version mismatch";
-  if (expect != nullptr && (key.hi != expect->hi || key.lo != expect->lo))
-    return "key mismatch";
+  if (r.u64() != key.hi || r.u64() != key.lo) return false;
   const std::uint64_t size = r.u64();
   const std::uint64_t sum = r.u64();
-  if (raw.size() != kHeaderBytes + size) return "truncated payload";
+  if (raw.size() != kHeaderBytes + size) return false;
   payload.assign(raw, kHeaderBytes, static_cast<std::size_t>(size));
   if (fnv1a64(payload) != sum) {
     payload.clear();
-    return "checksum mismatch";
+    return false;
   }
-  return {};
+  return true;
 }
 
 bool read_whole_file(const std::string& path, std::string& out) {
@@ -108,8 +97,7 @@ std::string Store::path_of(const Key& key) const {
 bool Store::read_file(const Key& key, std::string& payload) const {
   std::string raw;
   if (!read_whole_file(path_of(key), raw)) return false;
-  const std::string err = parse_entry(raw, &key, payload, nullptr, nullptr);
-  if (!err.empty()) {
+  if (!parse_entry(raw, key, payload)) {
     // An existing-but-invalid entry is bit rot or a stale schema: count
     // it, treat it as a miss, and let the rerun overwrite it.
     auto& stats = scenario_cache_stats();
@@ -192,39 +180,6 @@ void Store::reset() noexcept {
 
 void arm_cli(const BenchOptions& opt) {
   if (!opt.cache_dir.empty()) Store::configure(opt.cache_dir);
-}
-
-std::vector<EntryInfo> inspect_dir(const std::string& dir) {
-  std::vector<EntryInfo> out;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec)
-    throw UsageError("cache: cannot read dir " + dir + ": " + ec.message());
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() < 5 || name.substr(name.size() - 5) != ".xtsc")
-      continue;
-    EntryInfo info;
-    info.file = name;
-    std::string raw;
-    std::string payload;
-    if (!read_whole_file(entry.path().string(), raw)) {
-      info.note = "unreadable";
-    } else {
-      info.note =
-          parse_entry(raw, nullptr, payload, &info.key, &info.schema);
-      info.ok = info.note.empty();
-      info.payload_bytes =
-          raw.size() >= kHeaderBytes ? raw.size() - kHeaderBytes : 0;
-    }
-    out.push_back(std::move(info));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const EntryInfo& a, const EntryInfo& b) {
-              return a.file < b.file;
-            });
-  return out;
 }
 
 }  // namespace xts::cache

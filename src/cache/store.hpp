@@ -28,7 +28,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cache/fingerprint.hpp"
 
@@ -63,7 +62,8 @@ class Store {
   // -- process-wide store (configured from --cache-dir) ----------------
 
   /// Null until configure() ran; the sweep runner caches only when a
-  /// store is armed, so default runs take exactly the legacy path.
+  /// store is armed, so without one every point runs and nothing is
+  /// stored.
   [[nodiscard]] static Store* process() noexcept;
   /// Arm the process store on `dir` (replaces any previous store).
   static Store& configure(std::string dir);
@@ -83,18 +83,5 @@ class Store {
 /// Bench wiring: arm the process store from `--cache-dir=` (no-op when
 /// the flag was not given).  Call next to obsv::arm_cli in drivers.
 void arm_cli(const BenchOptions& opt);
-
-/// Entry metadata surfaced by `xtstrace cache` (tools/xtstrace).
-struct EntryInfo {
-  std::string file;
-  Key key;                    ///< from the header (valid if parseable)
-  std::uint32_t schema = 0;   ///< schema version recorded in the header
-  std::uint64_t payload_bytes = 0;
-  bool ok = false;            ///< header + checksum + size all valid
-  std::string note;           ///< why !ok, human-readable
-};
-
-/// Inspect a cache directory without arming anything (xtstrace cache).
-[[nodiscard]] std::vector<EntryInfo> inspect_dir(const std::string& dir);
 
 }  // namespace xts::cache

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -112,23 +111,6 @@ class Engine {
     }
   }
 
-  /// Run until no events remain or simulated time would exceed
-  /// \p deadline.  Returns true if the queue drained, false if the
-  /// deadline stopped it.  Either way now() advances to \p deadline (if
-  /// later), so callers composing run_until with schedule_after observe
-  /// the simulated interval as fully elapsed.
-  bool run_until(SimTime deadline) {
-    for (;;) {
-      const SimTime t = next_event_time();
-      if (t > deadline) {
-        const bool drained = fifo_count_ == 0 && heap_.empty();
-        if (deadline > now_) now_ = deadline;
-        return drained;
-      }
-      step();
-    }
-  }
-
   [[nodiscard]] std::size_t events_processed() const noexcept {
     return events_processed_;
   }
@@ -148,12 +130,6 @@ class Engine {
   static bool before(const Event& a, const Event& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
-  }
-
-  [[nodiscard]] SimTime next_event_time() const noexcept {
-    if (fifo_count_ > 0) return now_;  // ring entries are always at now_
-    if (!heap_.empty()) return heap_[0].time;
-    return std::numeric_limits<double>::infinity();
   }
 
   // -- binary min-heap over (time, seq), hole-based sifts ----------------

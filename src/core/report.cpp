@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
-#include <sstream>
 
 #include "core/error.hpp"
 
@@ -24,7 +23,6 @@ Table& Table::add_row(std::vector<std::string> cells) {
 }
 
 std::string Table::num(double v, int digits) {
-  std::ostringstream os;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
   return buf;

@@ -4,34 +4,11 @@
 
 namespace xts::kernels {
 
-namespace {
-void check(std::size_t a, std::size_t b, std::size_t c = 0) {
-  if (a != b || (c != 0 && a != c))
-    throw UsageError("stream: span lengths differ");
-}
-}  // namespace
-
 void stream_triad(std::span<double> a, std::span<const double> b,
                   std::span<const double> c, double scalar) {
-  check(a.size(), b.size(), c.size());
+  if (a.size() != b.size() || a.size() != c.size())
+    throw UsageError("stream: span lengths differ");
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = b[i] + scalar * c[i];
-}
-
-void stream_copy(std::span<double> a, std::span<const double> b) {
-  check(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = b[i];
-}
-
-void stream_scale(std::span<double> a, std::span<const double> b,
-                  double scalar) {
-  check(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = scalar * b[i];
-}
-
-void stream_add(std::span<double> a, std::span<const double> b,
-                std::span<const double> c) {
-  check(a.size(), b.size(), c.size());
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = b[i] + c[i];
 }
 
 machine::Work triad_work(double n) {

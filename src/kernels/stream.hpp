@@ -15,17 +15,6 @@ namespace xts::kernels {
 void stream_triad(std::span<double> a, std::span<const double> b,
                   std::span<const double> c, double scalar);
 
-/// a[i] = b[i]                  (STREAM Copy)
-void stream_copy(std::span<double> a, std::span<const double> b);
-
-/// a[i] = scalar * b[i]         (STREAM Scale)
-void stream_scale(std::span<double> a, std::span<const double> b,
-                  double scalar);
-
-/// a[i] = b[i] + c[i]           (STREAM Add)
-void stream_add(std::span<double> a, std::span<const double> b,
-                std::span<const double> c);
-
 /// Work for one triad pass over n elements: 24 B/element of traffic
 /// (two loads + one store, STREAM counting convention), 2 flops/element.
 [[nodiscard]] machine::Work triad_work(double n);

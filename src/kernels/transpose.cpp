@@ -25,13 +25,6 @@ void transpose(std::size_t rows, std::size_t cols, std::span<const double> in,
   }
 }
 
-void transpose_square_inplace(std::size_t n, std::span<double> a) {
-  if (a.size() < n * n) throw UsageError("transpose: span too small");
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      std::swap(a[i * n + j], a[j * n + i]);
-}
-
 machine::Work transpose_work(double elems) {
   machine::Work w;
   w.stream_bytes = 16.0 * elems;  // 8 B read + 8 B write per element

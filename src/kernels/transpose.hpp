@@ -15,9 +15,6 @@ namespace xts::kernels {
 void transpose(std::size_t rows, std::size_t cols, std::span<const double> in,
                std::span<double> out);
 
-/// In-place transpose of a square n x n matrix.
-void transpose_square_inplace(std::size_t n, std::span<double> a);
-
 /// Work for transposing `elems` doubles (read + write streams).
 [[nodiscard]] machine::Work transpose_work(double elems);
 

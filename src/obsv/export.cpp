@@ -53,6 +53,12 @@ void emit_thread_meta(Emitter& em, std::uint32_t world, std::int32_t lane) {
            std::to_string(tid) + "}}");
 }
 
+/// An empty table with the metrics dump's columns.
+Table metric_columns(const std::string& title) {
+  return Table(title, {"family", "label", "kind", "count", "value", "mean",
+                       "p95", "max"});
+}
+
 }  // namespace
 
 void write_chrome_trace(const Session& session, std::ostream& os) {
@@ -171,16 +177,11 @@ void write_chrome_trace_file(const Session& session,
 }
 
 Table metrics_table(const Registry& registry, const std::string& title) {
-  Table t(title, {"family", "label", "kind", "count", "value", "mean",
-                  "p95", "max"});
+  Table t = metric_columns(title);
   for (const auto& [family, labels] : registry.counters())
     for (const auto& [label, c] : labels)
       t.add_row({family, label, "counter", "", Table::num(c.value(), 3), "",
                  "", ""});
-  for (const auto& [family, labels] : registry.gauges())
-    for (const auto& [label, g] : labels)
-      t.add_row({family, label, "gauge", "", Table::num(g.value(), 3), "",
-                 "", Table::num(g.max(), 3)});
   for (const auto& [family, labels] : registry.histograms())
     for (const auto& [label, h] : labels) {
       if (h.count() == 0) continue;
@@ -194,13 +195,18 @@ Table metrics_table(const Registry& registry, const std::string& title) {
 }
 
 Table host_table() {
-  Registry reg;
-  reg.gauge("host.rss", "peak_bytes")
-      .set(static_cast<double>(host_peak_rss_bytes()));
+  // One-shot host facts, so value = max.
+  Table t = metric_columns("host resources");
+  const auto row = [&t](const char* family, const char* label, long v) {
+    const std::string cell = Table::num(static_cast<double>(v), 3);
+    t.add_row({family, label, "gauge", "", cell, "", "", cell});
+  };
+  const long rss = host_peak_rss_bytes();
   const HostFaults faults = host_page_faults();
-  reg.gauge("host.faults", "major").set(static_cast<double>(faults.major));
-  reg.gauge("host.faults", "minor").set(static_cast<double>(faults.minor));
-  return metrics_table(reg, "host resources");
+  row("host.faults", "major", faults.major);
+  row("host.faults", "minor", faults.minor);
+  row("host.rss", "peak_bytes", rss);
+  return t;
 }
 
 Table scenario_cache_table() {

@@ -31,9 +31,9 @@ void write_chrome_trace_file(const Session& session,
 [[nodiscard]] Table metrics_table(const Registry& registry,
                                   const std::string& title = "metrics");
 
-/// Host resource gauges (getrusage): peak RSS bytes, major/minor page
-/// faults — rendered through the metrics-table machinery as its own
-/// "host resources" block so memory-diet gates need no external probe.
+/// Host resource facts (getrusage): peak RSS bytes, major/minor page
+/// faults — a "host resources" block with metrics_table's columns (kind
+/// "gauge", value = max) so memory-diet gates need no external probe.
 /// Values are host-dependent (never reproducible run-to-run), so
 /// scripts/check_determinism.py scrubs exactly this block from stdout.
 [[nodiscard]] Table host_table();

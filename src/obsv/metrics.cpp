@@ -27,10 +27,6 @@ Counter& Registry::counter(std::string_view family, std::string_view label) {
   return slot(counters_, family, label);
 }
 
-Gauge& Registry::gauge(std::string_view family, std::string_view label) {
-  return slot(gauges_, family, label);
-}
-
 Histogram& Registry::histogram(std::string_view family,
                                std::string_view label) {
   return slot(histograms_, family, label);
@@ -52,15 +48,12 @@ std::size_t Registry::counter_labels(std::string_view family) const {
 void Registry::merge(const Registry& o) {
   for (const auto& [family, labels] : o.counters_)
     for (const auto& [label, c] : labels) counter(family, label).merge(c);
-  for (const auto& [family, labels] : o.gauges_)
-    for (const auto& [label, g] : labels) gauge(family, label).merge(g);
   for (const auto& [family, labels] : o.histograms_)
     for (const auto& [label, h] : labels) histogram(family, label).merge(h);
 }
 
 void Registry::clear() {
   counters_.clear();
-  gauges_.clear();
   histograms_.clear();
 }
 

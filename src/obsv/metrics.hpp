@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file metrics.hpp
-/// Metrics registry: named counters, gauges and histograms, each
+/// Metrics registry: named counters and histograms, each
 /// carrying an optional label (rank, node, link class, collective
 /// name, ...).  The registry is "lock-free in sim": the simulator is
 /// single-threaded, so recording is a map lookup plus an arithmetic
@@ -30,38 +30,6 @@ class Counter {
 
  private:
   double value_ = 0.0;
-};
-
-/// Last-value metric that also remembers its high-water mark.
-class Gauge {
- public:
-  void set(double v) noexcept {
-    value_ = v;
-    if (!seen_ || v > max_) max_ = v;
-    seen_ = true;
-  }
-  [[nodiscard]] double value() const noexcept { return value_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-  /// Fold a later shard in: its last value wins (matching serial
-  /// last-write semantics when shards merge in sweep order).
-  void merge(const Gauge& o) noexcept {
-    if (!o.seen_) return;
-    value_ = o.value_;
-    max_ = seen_ ? (o.max_ > max_ ? o.max_ : max_) : o.max_;
-    seen_ = true;
-  }
-  /// Exact-state access for the shard snapshot codec (cache replay).
-  [[nodiscard]] bool seen() const noexcept { return seen_; }
-  void restore(double value, double max, bool seen) noexcept {
-    value_ = value;
-    max_ = max;
-    seen_ = seen;
-  }
-
- private:
-  double value_ = 0.0;
-  double max_ = 0.0;
-  bool seen_ = false;
 };
 
 /// Distribution metric: streaming moments plus retained samples for
@@ -104,11 +72,9 @@ class Histogram {
 class Registry {
  public:
   using CounterFamily = std::map<std::string, Counter, std::less<>>;
-  using GaugeFamily = std::map<std::string, Gauge, std::less<>>;
   using HistogramFamily = std::map<std::string, Histogram, std::less<>>;
 
   Counter& counter(std::string_view family, std::string_view label = "");
-  Gauge& gauge(std::string_view family, std::string_view label = "");
   Histogram& histogram(std::string_view family, std::string_view label = "");
 
   /// Sum of a counter family across all labels (0 if absent).
@@ -120,17 +86,13 @@ class Registry {
   counters() const noexcept {
     return counters_;
   }
-  [[nodiscard]] const std::map<std::string, GaugeFamily, std::less<>>&
-  gauges() const noexcept {
-    return gauges_;
-  }
   [[nodiscard]] const std::map<std::string, HistogramFamily, std::less<>>&
   histograms() const noexcept {
     return histograms_;
   }
 
   [[nodiscard]] bool empty() const noexcept {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
+    return counters_.empty() && histograms_.empty();
   }
 
   /// Fold another registry in, metric by (family, label).  Shards from
@@ -142,7 +104,6 @@ class Registry {
 
  private:
   std::map<std::string, CounterFamily, std::less<>> counters_;
-  std::map<std::string, GaugeFamily, std::less<>> gauges_;
   std::map<std::string, HistogramFamily, std::less<>> histograms_;
 };
 

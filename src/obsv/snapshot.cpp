@@ -13,7 +13,7 @@ namespace xts::obsv {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x53535458u;  // "XTSS"
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 // -- record layouts ----------------------------------------------------
 //
@@ -200,9 +200,6 @@ void put_families(Writer& w, const Families& families, Put put_metric) {
 
 void put_registry(Writer& w, const Registry& reg) {
   put_families(w, reg.counters(), [&](const Counter& c) { w(c.value()); });
-  put_families(w, reg.gauges(), [&](const Gauge& g) {
-    w(g.value(), g.max(), g.seen());
-  });
   put_families(w, reg.histograms(), [&](const Histogram& h) {
     w(h.stats().raw(), h.samples().samples());
   });
@@ -233,13 +230,6 @@ bool get_registry(Reader& r, Registry& reg) {
   const auto counter = [&](Name family, Name label) {
     reg.counter(family, label).add(r.f64());
   };
-  const auto gauge = [&](Name family, Name label) {
-    double value = 0.0;
-    double max = 0.0;
-    bool seen = false;
-    r(value, max, seen);
-    reg.gauge(family, label).restore(value, max, seen);
-  };
   const auto histogram = [&](Name family, Name label) {
     RunningStats::Raw raw;
     std::vector<double> samples;
@@ -247,7 +237,6 @@ bool get_registry(Reader& r, Registry& reg) {
     reg.histogram(family, label).restore(raw, std::move(samples));
   };
   return get_families<double>(r, counter) &&
-         get_families<double, double, bool>(r, gauge) &&
          get_families<RunningStats::Raw, std::vector<double>>(r, histogram);
 }
 

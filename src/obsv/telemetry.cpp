@@ -101,7 +101,7 @@ double wall_now_locked(const State& s) {
       .count();
 }
 
-Sample take_sample_locked(State& s, bool final_beat, bool advance) {
+Sample take_sample_locked(State& s, bool final_beat) {
   Sample out;
   out.seq = s.seq;
   out.wall = wall_now_locked(s);
@@ -117,12 +117,10 @@ Sample take_sample_locked(State& s, bool final_beat, bool advance) {
   }
   out.rss = host_current_rss_bytes();
   out.final_beat = final_beat;
-  if (advance) {
-    ++s.seq;
-    s.prev_wall = out.wall;
-    s.prev_sim = out.sim;
-    s.prev_events = out.events;
-  }
+  ++s.seq;
+  s.prev_wall = out.wall;
+  s.prev_sim = out.sim;
+  s.prev_events = out.events;
   return out;
 }
 
@@ -157,7 +155,7 @@ std::string heartbeat_text(const Sample& smp) {
 
 void emit_heartbeat_locked(State& s, bool final_beat) {
   const ScopedHostTimer timer(HostSubsys::kTelemetry);
-  const Sample smp = take_sample_locked(s, final_beat, /*advance=*/true);
+  const Sample smp = take_sample_locked(s, final_beat);
   if (s.stream.is_open()) {
     s.stream << heartbeat_json(smp) << '\n';
     s.stream.flush();
@@ -306,25 +304,6 @@ bool active() noexcept {
 RunProgress* progress() noexcept {
   State& s = st();
   return s.active.load(std::memory_order_acquire) ? &s.progress : nullptr;
-}
-
-void snapshot(std::ostream& os) {
-  State& s = st();
-  const std::lock_guard<std::mutex> lk(s.mu);
-  if (!s.running) return;
-  const ScopedHostTimer timer(HostSubsys::kTelemetry);
-  // advance=false: an on-demand dump must not disturb the sampler's
-  // derivative baseline.
-  os << heartbeat_json(take_sample_locked(s, /*final_beat=*/false,
-                                          /*advance=*/false))
-     << '\n';
-}
-
-void write_breakdown(std::ostream& os) {
-  State& s = st();
-  const std::lock_guard<std::mutex> lk(s.mu);
-  if (!s.running) return;
-  os << breakdown_json_locked(s) << '\n';
 }
 
 }  // namespace telemetry

@@ -20,13 +20,13 @@
 /// final heartbeat plus one `"kind":"breakdown"` record: per-subsystem
 /// host seconds and shares of wall (engine, net.rates, obsv.export,
 /// telemetry, derived "other") that sum to ~100% on a --jobs=1 run,
-/// and getrusage peak-RSS/fault counts.
+/// and getrusage peak-RSS/fault counts.  stop() writes those closing
+/// records.
 ///
 /// Everything here is strictly out-of-band: stdout, `--trace=`,
 /// `--metrics` and `--profile=` bytes are identical with telemetry on
 /// or off (enforced by scripts/check_determinism.py --vary heartbeat).
 
-#include <iosfwd>
 #include <string>
 
 #include "core/progress.hpp"
@@ -56,15 +56,6 @@ void stop();
 /// The progress atomics Engines/FlowNetworks publish into while armed
 /// (null when inactive — callers skip wiring entirely).
 [[nodiscard]] RunProgress* progress() noexcept;
-
-/// On-demand snapshot: write one heartbeat record (JSON line) to
-/// \p os, regardless of the sampler cadence.  No-op when inactive.
-void snapshot(std::ostream& os);
-
-/// Write the current per-subsystem host-time breakdown record (JSON
-/// line) to \p os.  No-op when inactive.  stop() appends the same
-/// record to the stream automatically.
-void write_breakdown(std::ostream& os);
 
 }  // namespace telemetry
 

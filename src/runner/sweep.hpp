@@ -87,8 +87,8 @@ void run_points(std::vector<std::function<void()>>& points, int jobs,
 /// `keys` (optional, same length) are scenario fingerprints enabling
 /// the result cache for trivially-copyable result types; points with
 /// invalid (default) keys always run.  With no store armed
-/// (no --cache-dir) the keys are ignored and this is exactly the
-/// legacy path.
+/// (no --cache-dir) the keys are ignored: every point runs and nothing
+/// is stored.
 template <typename T>
 std::vector<T> sweep(std::vector<std::function<T()>> points, int jobs = 0,
                      const std::vector<double>& weights = {},
@@ -117,20 +117,6 @@ std::vector<T> sweep(std::vector<std::function<T()>> points, int jobs = 0,
     detail::run_points(tasks, jobs, weights);
   }
   return results;
-}
-
-/// Index form: run `fn(i)` for i in [0, n) and collect the results.
-template <typename Fn>
-auto sweep_index(std::size_t n, int jobs, Fn fn,
-                 const std::vector<double>& weights = {},
-                 const std::vector<cache::Key>& keys = {})
-    -> std::vector<decltype(fn(std::size_t{0}))> {
-  using T = decltype(fn(std::size_t{0}));
-  std::vector<std::function<T()>> points;
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    points.emplace_back([fn, i] { return fn(i); });
-  return sweep<T>(std::move(points), jobs, weights, keys);
 }
 
 }  // namespace xts::runner

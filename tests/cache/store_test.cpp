@@ -7,7 +7,6 @@
 #include "cache/fingerprint.hpp"
 #include "cache/store.hpp"
 #include "core/cache_stats.hpp"
-#include "core/error.hpp"
 
 namespace xts::cache {
 namespace {
@@ -141,32 +140,28 @@ TEST(Store, StaleSchemaIsAMiss) {
   // The schema version is the u32 at offset 8.  0xFF in its low byte
   // makes it a future schema.
   stomp(path, 8, '\xFF');
+  const std::uint64_t before = corrupt_count();
   Store fresh(dir);
   std::string got;
   EXPECT_FALSE(fresh.get(key_of(5), got));
-
-  const auto entries = inspect_dir(dir);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_FALSE(entries[0].ok);
-  EXPECT_EQ(entries[0].note, "schema version mismatch");
+  EXPECT_EQ(corrupt_count(), before + 1);
 }
 
-TEST(Store, InspectDirReportsEntries) {
-  const std::string dir = fresh_dir("inspect");
+TEST(Store, KeyMismatchIsAMiss) {
+  const std::string dir = fresh_dir("keymismatch");
   {
     Store s(dir);
-    s.put(key_of(10), std::string(32, 'a'));
-    s.put(key_of(11), std::string(64, 'b'));
+    s.put(key_of(6), "payload-of-6");
   }
-  const auto entries = inspect_dir(dir);
-  ASSERT_EQ(entries.size(), 2u);
-  for (const auto& e : entries) {
-    EXPECT_TRUE(e.ok) << e.note;
-    EXPECT_TRUE(e.key.valid);
-    EXPECT_EQ(e.file, e.key.hex() + ".xtsc");
-    EXPECT_TRUE(e.payload_bytes == 32 || e.payload_bytes == 64);
-  }
-  EXPECT_THROW(inspect_dir(dir + "/nope"), UsageError);
+  // An intact entry under another key's file name.
+  fs::copy_file(entry_path(dir, key_of(6)), entry_path(dir, key_of(7)));
+  const std::uint64_t before = corrupt_count();
+  Store fresh(dir);
+  std::string got;
+  EXPECT_FALSE(fresh.get(key_of(7), got));
+  EXPECT_EQ(corrupt_count(), before + 1);
+  EXPECT_TRUE(fresh.get(key_of(6), got));
+  EXPECT_EQ(got, "payload-of-6");
 }
 
 TEST(Store, ProcessStoreConfigureAndReset) {

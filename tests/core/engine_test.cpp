@@ -63,47 +63,9 @@ TEST(Engine, NegativeDelayThrows) {
   EXPECT_THROW(e.schedule_after(-1.0, [] {}), UsageError);
 }
 
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine e;
-  int fired = 0;
-  e.schedule_at(1.0, [&] { ++fired; });
-  e.schedule_at(10.0, [&] { ++fired; });
-  EXPECT_FALSE(e.run_until(5.0));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(e.events_pending(), 1u);
-  EXPECT_TRUE(e.run_until(20.0));
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Engine, StepReturnsFalseWhenEmpty) {
   Engine e;
   EXPECT_FALSE(e.step());
-}
-
-TEST(Engine, RunUntilAdvancesNowToDeadline) {
-  // Regression: run_until used to leave now() at the last fired event,
-  // so a follow-up schedule_after() landed before the deadline.
-  Engine e;
-  e.schedule_at(1.0, [] {});
-  e.schedule_at(10.0, [] {});
-  EXPECT_FALSE(e.run_until(5.0));
-  EXPECT_EQ(e.now(), 5.0);
-  int fired_at_deadline_plus = 0;
-  e.schedule_after(1.0, [&] { ++fired_at_deadline_plus; });  // at t=6
-  EXPECT_FALSE(e.run_until(7.0));
-  EXPECT_EQ(fired_at_deadline_plus, 1);
-  EXPECT_EQ(e.now(), 7.0);
-  EXPECT_TRUE(e.run_until(20.0));
-  EXPECT_EQ(e.now(), 20.0);  // drained: still advances to the deadline
-}
-
-TEST(Engine, RunUntilPastDeadlineDoesNotRewindTime) {
-  Engine e;
-  e.schedule_at(3.0, [] {});
-  e.run();
-  EXPECT_EQ(e.now(), 3.0);
-  EXPECT_TRUE(e.run_until(1.0));  // deadline already in the past
-  EXPECT_EQ(e.now(), 3.0);
 }
 
 TEST(Engine, SameInstantFifoAndHeapInterleaveBySequence) {

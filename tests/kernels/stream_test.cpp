@@ -20,20 +20,13 @@ TEST(Stream, TriadComputesCorrectly) {
     EXPECT_DOUBLE_EQ(a[i], static_cast<double>(i) + 6.0);
 }
 
-TEST(Stream, CopyScaleAdd) {
-  std::vector<double> a(10, 0.0), b(10, 5.0), c(10, 2.0);
-  stream_copy(a, b);
-  for (const double x : a) EXPECT_DOUBLE_EQ(x, 5.0);
-  stream_scale(a, b, 2.0);
-  for (const double x : a) EXPECT_DOUBLE_EQ(x, 10.0);
-  stream_add(a, b, c);
-  for (const double x : a) EXPECT_DOUBLE_EQ(x, 7.0);
-}
-
 TEST(Stream, MismatchedLengthsThrow) {
   std::vector<double> a(10), b(11), c(10);
   EXPECT_THROW(stream_triad(a, b, c, 1.0), UsageError);
-  EXPECT_THROW(stream_copy(a, b), UsageError);
+  EXPECT_THROW(stream_triad(a, c, b, 1.0), UsageError);
+  // An empty third span is a length mismatch too, not "no third span".
+  std::vector<double> empty;
+  EXPECT_THROW(stream_triad(a, c, empty, 1.0), UsageError);
 }
 
 TEST(StreamWork, TwentyFourBytesPerElement) {

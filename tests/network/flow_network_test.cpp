@@ -518,8 +518,7 @@ TEST(FlowNetwork, ClassSeriesTracksSummedLinkLoads) {
   // Probe between events (waves start on multiples of 0.25 s): each
   // class's latest sample is that class's current summed load.
   int busy_probes = 0;
-  for (int k = 0; k < 40; ++k) {
-    (void)e.run_until(0.1 + 0.2 * k);
+  const auto probe = [&] {
     const auto load = class_loads(net);
     const auto last = last_samples(net);
     for (std::size_t cls = 0; cls < load.size(); ++cls) {
@@ -527,7 +526,8 @@ TEST(FlowNetwork, ClassSeriesTracksSummedLinkLoads) {
       EXPECT_EQ(last[cls], load[cls]) << "class " << cls;
     }
     if (net.active_flows() > 0) ++busy_probes;
-  }
+  };
+  for (int k = 0; k < 40; ++k) e.schedule_at(0.1 + 0.2 * k, probe);
   e.run();
   EXPECT_GT(busy_probes, 3);
   // Drained: every class was used, and its last sample is zero.

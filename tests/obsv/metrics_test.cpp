@@ -40,25 +40,6 @@ TEST(Metrics, PointerStabilityAcrossInserts) {
   EXPECT_DOUBLE_EQ(first->value(), 1.0);
 }
 
-TEST(Metrics, GaugeTracksHighWaterMark) {
-  Registry reg;
-  Gauge& g = reg.gauge("net.flows");
-  g.set(3.0);
-  g.set(10.0);
-  g.set(2.0);
-  EXPECT_DOUBLE_EQ(g.value(), 2.0);
-  EXPECT_DOUBLE_EQ(g.max(), 10.0);
-}
-
-TEST(Metrics, GaugeMaxHandlesNegatives) {
-  Registry reg;
-  Gauge& g = reg.gauge("g");
-  g.set(-5.0);
-  EXPECT_DOUBLE_EQ(g.max(), -5.0);  // not a spurious 0
-  g.set(-7.0);
-  EXPECT_DOUBLE_EQ(g.max(), -5.0);
-}
-
 TEST(Metrics, HistogramMomentsAndPercentiles) {
   Registry reg;
   Histogram& h = reg.histogram("msg.latency");
@@ -87,7 +68,6 @@ TEST(Metrics, ClearEmptiesEverything) {
   Registry reg;
   EXPECT_TRUE(reg.empty());
   reg.counter("c").add(1.0);
-  reg.gauge("g").set(1.0);
   reg.histogram("h").add(1.0);
   EXPECT_FALSE(reg.empty());
   reg.clear();

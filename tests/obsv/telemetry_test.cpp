@@ -177,16 +177,6 @@ TEST(TelemetryE2E, StreamSchemaAndProgressPublishing) {
   EXPECT_GT(progress->events.load(std::memory_order_relaxed), 0u);
   EXPECT_GT(progress->sim_time.load(std::memory_order_relaxed), 0.0);
 
-  // On-demand snapshot while armed: one heartbeat JSON line.
-  std::ostringstream snap;
-  telemetry::snapshot(snap);
-  EXPECT_TRUE(contains(snap.str(), "\"kind\":\"heartbeat\""));
-  EXPECT_TRUE(contains(snap.str(), "\"events\":"));
-
-  std::ostringstream bd;
-  telemetry::write_breakdown(bd);
-  EXPECT_TRUE(contains(bd.str(), "\"kind\":\"breakdown\""));
-
   telemetry::stop();
   EXPECT_FALSE(telemetry::active());
   EXPECT_EQ(telemetry::progress(), nullptr);
@@ -215,12 +205,6 @@ TEST(TelemetryE2E, StreamSchemaAndProgressPublishing) {
        {"\"engine\"", "\"net.rates\"", "\"obsv.export\"", "\"telemetry\"",
         "\"other\"", "\"peak_rss_bytes\"", "\"major_faults\"", "\"minor_faults\""})
     EXPECT_TRUE(contains(stream, key)) << key;
-
-  // Disarmed again: snapshot/write_breakdown are no-ops.
-  std::ostringstream after;
-  telemetry::snapshot(after);
-  telemetry::write_breakdown(after);
-  EXPECT_TRUE(after.str().empty());
 }
 
 TEST(TelemetryE2E, StopWithoutStartIsSafe) {

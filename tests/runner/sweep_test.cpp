@@ -102,14 +102,6 @@ TEST(Sweep, WeightsSizeMismatchIsRejected) {
   EXPECT_THROW((void)sweep(std::move(points), 2, {1.0, 2.0}), UsageError);
 }
 
-TEST(Sweep, SweepIndexCollects) {
-  const auto r =
-      sweep_index(5, 2, [](std::size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(r.size(), 5u);
-  for (std::size_t i = 0; i < r.size(); ++i)
-    EXPECT_EQ(r[i], static_cast<int>(i * i));
-}
-
 // ---------------------------------------------------------------------
 // Shard merge determinism: with a session observing, the merged
 // session state after a sweep must be identical at any jobs count.
@@ -188,8 +180,10 @@ TEST(SweepObsv, MergedSessionStateIdenticalAtAnyJobs) {
 
 TEST(SweepObsv, NoSessionNeedsNoShards) {
   ASSERT_EQ(obsv::Session::active(), nullptr);
-  const auto r = sweep_index(
-      4, 2, [](std::size_t i) { return run_world_point(2, static_cast<int>(i)); });
+  std::vector<std::function<double()>> points;
+  for (int i = 0; i < 4; ++i)
+    points.emplace_back([i] { return run_world_point(2, i); });
+  const auto r = sweep(std::move(points), 2);
   ASSERT_EQ(r.size(), 4u);
   for (const double t : r) EXPECT_GT(t, 0.0);
 }

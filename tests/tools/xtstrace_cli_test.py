@@ -8,11 +8,13 @@ Runs <bench> --quick once each with --trace, --profile and
 kind and that the tool exits nonzero (with a diagnostic) on unknown
 subcommands, missing files, malformed JSON, and files of the wrong
 kind.  A --cache-dir run then checks the cache subcommand: every entry
-the bench wrote parses as ok, a truncated entry reads as corrupt, and
-an empty directory is an error.
+the bench wrote parses as ok, a truncated entry reads as corrupt, an
+entry of another schema reads as stale, and an empty directory is an
+error.  The tool's CACHE_SCHEMA_VERSION must equal cache::kSchemaVersion.
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,11 +41,29 @@ def expect(name, proc, rc_ok, needle=None, stream="stdout"):
         sys.stderr.write(proc.stdout + proc.stderr)
 
 
+def check_schema_constant(xtstrace):
+    """The tool's stale test compares against a copy of kSchemaVersion."""
+    def grab(path, pattern):
+        with open(path, encoding="utf-8") as f:
+            m = re.search(pattern, f.read(), re.M)
+        return int(m.group(1)) if m else None
+    hpp = os.path.join(os.path.dirname(os.path.abspath(xtstrace)), os.pardir,
+                       "src", "cache", "fingerprint.hpp")
+    want = grab(hpp, r"kSchemaVersion\s*=\s*(\d+)\s*;")
+    got = grab(xtstrace, r"^CACHE_SCHEMA_VERSION\s*=\s*(\d+)")
+    ok = want is not None and got == want
+    print("%-38s %s (kSchemaVersion %s, tool %s)"
+          % ("cache schema constant", "ok" if ok else "FAIL", want, got))
+    if not ok:
+        failures.append("cache schema constant")
+
+
 def main():
     if len(sys.argv) != 4:
         sys.exit("usage: xtstrace_cli_test.py <python> <xtstrace> <bench>")
     python, xtstrace, bench = sys.argv[1:4]
     xts = [python, xtstrace]
+    check_schema_constant(xtstrace)
 
     with tempfile.TemporaryDirectory(prefix="xtstrace_cli_") as tmp:
         trace = os.path.join(tmp, "trace.json")
@@ -111,6 +131,15 @@ def main():
             f.write(raw[:len(raw) - 1])
         expect("cache on truncated entry", run(xts + ["cache", store]), True,
                "%d ok, 0 stale, 1 corrupt" % (n - 1))
+        if n < 2:
+            sys.exit("bench wrote %d cache entry; the stale check needs 2" % n)
+        # Byte 8 is the low byte of the header's schema version.
+        stale = os.path.join(store, entries[1])
+        with open(stale, "r+b") as f:
+            f.seek(8)
+            f.write(b"\xff")
+        expect("cache on stale-schema entry", run(xts + ["cache", store]),
+               True, "%d ok, 1 stale, 1 corrupt" % (n - 2))
         empty = os.path.join(tmp, "empty")
         os.mkdir(empty)
         expect("cache on empty dir", run(xts + ["cache", empty]), False)
