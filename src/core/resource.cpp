@@ -107,11 +107,16 @@ void SharedServer::on_completion(std::uint64_t epoch) {
   for (auto& p : done) p.set_value(Done{});
 }
 
+FifoResource::FifoResource(Engine& engine, int slots)
+    : engine_(engine), slots_(slots) {
+  if (slots < 1) throw UsageError("FifoResource: need at least one slot");
+}
+
 SimFutureV FifoResource::acquire() {
   SimPromiseV promise(engine_);
   auto future = promise.future();
-  if (!busy_) {
-    busy_ = true;
+  if (held_ < slots_) {
+    ++held_;
     promise.set_value(Done{});
   } else {
     waiters_.push_back(std::move(promise));
@@ -120,14 +125,14 @@ SimFutureV FifoResource::acquire() {
 }
 
 void FifoResource::release() {
-  if (!busy_) throw UsageError("FifoResource::release: not held");
+  if (held_ == 0) throw UsageError("FifoResource::release: not held");
   if (waiters_.empty()) {
-    busy_ = false;
+    --held_;
     return;
   }
   auto next = std::move(waiters_.front());
   waiters_.pop_front();
-  next.set_value(Done{});  // busy_ stays true: ownership transfers
+  next.set_value(Done{});  // held_ unchanged: the slot transfers
 }
 
 }  // namespace xts

@@ -10,8 +10,10 @@
 /// per-core STREAM bandwidth, halved per-core injection bandwidth in VN
 /// mode) arise structurally from two jobs sharing one server.
 ///
-/// `FifoResource` is a strict mutual-exclusion resource with FIFO
-/// granting, used for serialized NIC access in VN mode.
+/// `FifoResource` admits up to `slots` holders and queues the rest,
+/// granting in arrival order: with one slot it is the mutual-exclusion
+/// lock of the VN-mode NIC and the Lustre MDS; with `ost_queue_depth`
+/// slots it is a Lustre OST's bounded request queue.
 
 #include <cstdint>
 #include <string>
@@ -83,10 +85,11 @@ class SharedServer {
   std::size_t peak_jobs_ = 0;
 };
 
-/// FIFO mutual-exclusion resource.
+/// Counting resource with FIFO granting.
 class FifoResource {
  public:
-  explicit FifoResource(Engine& engine) : engine_(engine) {}
+  /// \param slots  concurrent holders admitted (>= 1).
+  explicit FifoResource(Engine& engine, int slots = 1);
 
   FifoResource(const FifoResource&) = delete;
   FifoResource& operator=(const FifoResource&) = delete;
@@ -94,17 +97,19 @@ class FifoResource {
   /// Completes when the caller holds the resource.
   [[nodiscard]] SimFutureV acquire();
 
-  /// Release; grants to the next waiter if any.
+  /// Release one slot; hands it to the next waiter if any.
   void release();
 
-  [[nodiscard]] bool busy() const noexcept { return busy_; }
+  /// True when every slot is held (a new acquire would queue).
+  [[nodiscard]] bool busy() const noexcept { return held_ == slots_; }
   [[nodiscard]] std::size_t waiters() const noexcept {
     return waiters_.size();
   }
 
  private:
   Engine& engine_;
-  bool busy_ = false;
+  int slots_;
+  int held_ = 0;
   // RingQueue, not std::deque: an idle FifoResource (one per simulated
   // node) must cost no heap — see core/ring_queue.hpp.
   RingQueue<SimPromiseV> waiters_;

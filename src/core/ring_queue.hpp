@@ -8,12 +8,12 @@
 /// ~650 bytes per idle instance — ruinous for per-node / per-rank
 /// queues at million-rank scale.  An empty RingQueue is just an empty
 /// vector (24 bytes, no allocation); capacity is grabbed on first push
-/// and grows by doubling, mirroring the Engine's same-instant event
-/// ring.  Only the operations the simulator needs: push_back / front /
-/// pop_front / empty / size.
+/// and grows by doubling.  The Engine's same-instant event lane and
+/// FifoResource's waiters use it.  Only the operations the simulator
+/// needs: push_back / front / pop_front / empty / size.
 ///
-/// T must be movable.  Popped slots hold moved-from values until the
-/// ring wraps; callers that care (none today) can shrink via clear().
+/// T must be default-constructible and movable; pop_front resets the
+/// popped slot to T{} so it releases what it held.
 
 #include <cstddef>
 #include <utility>
@@ -40,12 +40,6 @@ class RingQueue {
     slots_[head_] = T{};  // release resources held by the popped slot
     head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
-  }
-
-  void clear() noexcept {
-    slots_.clear();
-    head_ = 0;
-    count_ = 0;
   }
 
  private:

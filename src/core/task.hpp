@@ -8,7 +8,9 @@
 /// `spawn(engine, task)` as a detached root process, or started as an
 /// owned root with `Task<void>::start`.  Completion of a
 /// child resumes its parent by symmetric transfer, so arbitrarily deep
-/// call chains cost no native stack.
+/// call chains cost no native stack.  `Task<void>` is the same class
+/// template; only its promise's result slot differs (`return_void`
+/// instead of `return_value` into an `optional<T>`).
 ///
 /// Usage in simulated code looks like ordinary sequential code:
 /// \code
@@ -22,6 +24,7 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "core/engine.hpp"
@@ -69,21 +72,33 @@ struct PromiseBase {
   }
 };
 
+/// Where a finished task leaves its result: an optional<T> filled by
+/// `co_return v;`, or nothing for Task<void>.
+template <typename T>
+struct ResultSlot {
+  std::optional<T> value;
+  template <typename U>
+  void return_value(U&& v) {
+    value.emplace(std::forward<U>(v));
+  }
+  T take() { return std::move(*value); }
+};
+
+template <>
+struct ResultSlot<void> {
+  void return_void() noexcept {}
+  void take() noexcept {}
+};
+
 }  // namespace detail
 
-/// Lazy coroutine task returning T.
+/// Lazy coroutine task returning T (or nothing, for Task<void>).
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-
+  struct promise_type : detail::PromiseBase, detail::ResultSlot<T> {
     Task get_return_object() noexcept {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    template <typename U>
-    void return_value(U&& v) {
-      value.emplace(std::forward<U>(v));
     }
   };
 
@@ -115,7 +130,7 @@ class [[nodiscard]] Task {
       T await_resume() {
         auto& p = child.promise();
         if (p.exception) std::rethrow_exception(p.exception);
-        return std::move(*p.value);
+        return p.take();
       }
     };
     return Awaiter{handle_};
@@ -126,78 +141,19 @@ class [[nodiscard]] Task {
     return std::exchange(handle_, {});
   }
 
- private:
-  explicit Task(std::coroutine_handle<promise_type> h) noexcept : handle_(h) {}
-
-  void destroy() noexcept {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = nullptr;
-    }
-  }
-
-  std::coroutine_handle<promise_type> handle_{};
-};
-
-/// void specialization.
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() noexcept {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() noexcept {}
-  };
-
-  Task() noexcept = default;
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  [[nodiscard]] bool valid() const noexcept { return handle_ != nullptr; }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> child;
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> parent) noexcept {
-        child.promise().continuation = parent;
-        return child;
-      }
-      void await_resume() {
-        auto& p = child.promise();
-        if (p.exception) std::rethrow_exception(p.exception);
-      }
-    };
-    return Awaiter{handle_};
-  }
-
-  std::coroutine_handle<promise_type> release() noexcept {
-    return std::exchange(handle_, {});
-  }
-
   /// Start this task as a root process that the caller keeps owning
   /// (spawn() gives ownership up): the first resumption is scheduled
   /// as spawn() schedules it, a finished frame stays parked at
   /// final_suspend, and destroying this Task destroys the frame whether
   /// or not it finished.
-  void start(Engine& engine) const {
+  void start(Engine& engine) const
+    requires std::is_void_v<T>
+  {
     if (!valid()) throw UsageError("Task::start: invalid task");
     engine.schedule_after(0.0, [h = handle_] { h.resume(); });
   }
 
  private:
-  friend promise_type;
   explicit Task(std::coroutine_handle<promise_type> h) noexcept : handle_(h) {}
 
   void destroy() noexcept {

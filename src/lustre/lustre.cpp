@@ -36,6 +36,10 @@ Filesystem::Filesystem(Engine& engine, LustreConfig cfg,
     ost_disks_.push_back(std::make_unique<SharedServer>(
         engine, cfg_.ost_bw, "ost" + std::to_string(i)));
   ost_state_.resize(static_cast<std::size_t>(total_osts()));
+  if (cfg_.ost_queue_depth > 0) {
+    for (OstState& st : ost_state_)
+      st.queue = std::make_unique<FifoResource>(engine, cfg_.ost_queue_depth);
+  }
   if (obs_ != nullptr) {
     if (obs_->spans_enabled()) {
       sid_.create = obs_->intern("io.create");
@@ -216,18 +220,11 @@ Task<void> Filesystem::chunk_op(std::uint64_t lock_key, int ost,
 
   // Bounded OST request queue: at most ost_queue_depth chunks in
   // service; the rest wait FIFO for a slot.
-  const bool queueing = cfg_.ost_queue_depth > 0;
-  if (queueing) {
-    if (st.active < cfg_.ost_queue_depth) {
-      ++st.active;
-    } else {
-      SimPromiseV slot(engine_);
-      auto granted = slot.future();
-      st.waiters.push_back(std::move(slot));
-      st.peak_queue =
-          std::max(st.peak_queue, static_cast<int>(st.waiters.size()));
-      (void)co_await std::move(granted);  // grantor transfers the slot
-    }
+  if (st.queue) {
+    auto granted = st.queue->acquire();
+    st.peak_queue =
+        std::max(st.peak_queue, static_cast<int>(st.queue->waiters()));
+    (void)co_await std::move(granted);
   }
 
   const SimTime t_xfer = engine_.now();
@@ -242,7 +239,7 @@ Task<void> Filesystem::chunk_op(std::uint64_t lock_key, int ost,
   (void)co_await std::move(link_done);
   (void)co_await std::move(disk_done);
 
-  if (queueing) release_ost_slot(st);
+  if (st.queue) st.queue->release();
   if (locking) {
     auto it = locks_.find(lock_key);
     if (it != locks_.end() && --it->second.active == 0) locks_.erase(it);
@@ -255,16 +252,6 @@ Task<void> Filesystem::chunk_op(std::uint64_t lock_key, int ost,
                cid, chunk, ost);
   }
   done.set_value(Done{});
-}
-
-void Filesystem::release_ost_slot(OstState& st) {
-  if (!st.waiters.empty()) {
-    auto next = std::move(st.waiters.front());
-    st.waiters.pop_front();
-    next.set_value(Done{});  // slot transfers: active count unchanged
-  } else {
-    --st.active;
-  }
 }
 
 Task<void> Filesystem::write(const FileLayout& file, double offset,

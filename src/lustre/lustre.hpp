@@ -34,7 +34,6 @@
 
 #include "core/engine.hpp"
 #include "core/resource.hpp"
-#include "core/ring_queue.hpp"
 #include "core/task.hpp"
 #include "core/units.hpp"
 #include "obsv/session.hpp"
@@ -116,10 +115,11 @@ class Filesystem {
 
  private:
   struct OstState {
-    int active = 0;           ///< chunks holding a request slot
+    /// Bounded request queue: ost_queue_depth chunks in service, the
+    /// rest wait FIFO (null when ost_queue_depth is 0, i.e. unbounded).
+    std::unique_ptr<FifoResource> queue;
     int peak_queue = 0;       ///< max chunks waiting for a slot
     std::uint64_t chunks = 0;
-    RingQueue<SimPromiseV> waiters;
   };
   struct ObjLock {
     int active = 0;    ///< chunks currently on this object
@@ -152,7 +152,6 @@ class Filesystem {
                                            double bytes, int client);
   [[nodiscard]] Task<void> restart_impl(FileLayout& file, double offset,
                                         double bytes, int client);
-  void release_ost_slot(OstState& st);
   void collect_io_summary();
 
   Engine& engine_;

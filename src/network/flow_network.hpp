@@ -18,15 +18,15 @@
 /// of flows transitively sharing links with the change (kMaxMin), are
 /// revisited — O(affected x path) instead of O(all flows x path) per
 /// arrival/departure.  Flows are stored in a slot-map (free-list
-/// recycled, stable indices) with small-vector route storage, progress
-/// is settled lazily per flow, and completions come from a lazy min-
-/// heap of predicted completion times, invalidated by per-flow
-/// generation counters.  Changes at the same simulated instant are
-/// still coalesced into a single allocation pass, so lock-step
-/// collective rounds cost one pass per round rather than one per
-/// message.  tests/network/reference_model.hpp re-derives completion
-/// times with an independent full recompute per event; the network
-/// tests check this class against it.
+/// recycled, stable indices, so a recycled slot's route vectors keep
+/// their capacity), progress is settled lazily per flow, and
+/// completions come from a lazy min-heap of predicted completion
+/// times, invalidated by per-flow generation counters.  Changes at the
+/// same simulated instant are still coalesced into a single allocation
+/// pass, so lock-step collective rounds cost one pass per round rather
+/// than one per message.  tests/network/reference_model.hpp re-derives
+/// completion times with an independent full recompute per event; the
+/// network tests check this class against it.
 
 #include <array>
 #include <coroutine>
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/small_vec.hpp"
 #include "network/route_cache.hpp"
 #include "network/torus.hpp"
 
@@ -188,8 +187,8 @@ class FlowNetwork {
     std::uint32_t gen = 0;  ///< invalidates completion-heap entries
     bool in_use = false;
     Route links;
-    SmallVec<std::uint32_t, 16> link_pos;  ///< index in link_flows_[links[i]]
-    std::coroutine_handle<> waiter{};      ///< resumed on completion
+    std::vector<std::uint32_t> link_pos;  ///< index in link_flows_[links[i]]
+    std::coroutine_handle<> waiter{};     ///< resumed on completion
   };
 
   /// Back-reference stored in a link's flow set: which flow, and which
@@ -229,7 +228,6 @@ class FlowNetwork {
   void update_rates_min_share(SimTime now);
   void update_rates_max_min(SimTime now);
   void apply_rate(std::uint32_t idx, Flow& f, double rate, SimTime now);
-  void flush_pending();
   void schedule_timer();
   void heap_push(CompletionEntry e);
   void heap_pop();
@@ -252,7 +250,6 @@ class FlowNetwork {
   std::uint32_t stamp_ = 1;
 
   std::vector<CompletionEntry> cheap_;  ///< lazy completion min-heap
-  std::vector<CompletionEntry> pending_;  ///< scratch: predictions to insert
   std::vector<std::coroutine_handle<>> done_;  ///< scratch: to resume
   std::vector<std::uint32_t> comp_flows_;  ///< scratch: max-min component
   std::vector<double> residual_;           ///< scratch: max-min filling

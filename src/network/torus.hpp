@@ -11,19 +11,17 @@
 /// PTRANS stays link-limited (Fig 10).
 
 #include <cstdint>
+#include <vector>
 
 #include "core/error.hpp"
-#include "core/small_vec.hpp"
 
 namespace xts::net {
 
 using NodeId = std::int32_t;
 using LinkId = std::int32_t;
 
-/// A route as a link sequence, inline up to 16 links (14 torus hops
-/// plus injection/ejection) — enough for every route of a 1k-node
-/// near-cubic torus without allocation.
-using Route = SmallVec<LinkId, 16>;
+/// A route as a link sequence: injection, torus hops, ejection.
+using Route = std::vector<LinkId>;
 
 struct Coord {
   int x = 0, y = 0, z = 0;

@@ -25,7 +25,7 @@ TEST(Decomp2D, NearSquareFactorizations) {
   EXPECT_EQ(d.px, 4);
   d = choose_decomp(7);  // prime: 1 x 7
   EXPECT_EQ(d.px * d.py, 7);
-  EXPECT_THROW(choose_decomp(0), UsageError);
+  EXPECT_THROW((void)choose_decomp(0), UsageError);
 }
 
 /// The heart of the POP reproduction: the DISTRIBUTED CG over the

@@ -182,5 +182,44 @@ TEST(FifoResource, SerializesCriticalSections) {
   EXPECT_EQ(max_inside, 1);
 }
 
+TEST(FifoResource, TwoSlotsAdmitTwoThenGrantInArrivalOrder) {
+  Engine e;
+  FifoResource res(e, 2);
+  std::vector<int> order;
+  std::vector<SimTime> granted(4, -1.0);
+  const SimTime hold[4] = {3.0, 1.0, 1.0, 1.0};
+  for (int i = 0; i < 4; ++i) {
+    spawn(e, [](Engine& eng, FifoResource& r, std::vector<int>& log,
+                std::vector<SimTime>& at, int id, SimTime h) -> Task<void> {
+      (void)co_await r.acquire();
+      log.push_back(id);
+      at[static_cast<std::size_t>(id)] = eng.now();
+      co_await Delay(eng, h);
+      r.release();
+    }(e, res, order, granted, i, hold[i]));
+  }
+  std::size_t waiting = 0;
+  bool busy = false;
+  spawn(e, [](FifoResource& r, std::size_t& w, bool& b) -> Task<void> {
+    w = r.waiters();
+    b = r.busy();
+    co_return;
+  }(res, waiting, busy));
+  e.run();
+  EXPECT_EQ(waiting, 2u);  // holders 0 and 1; 2 and 3 queue
+  EXPECT_TRUE(busy);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  // 1 frees a slot at t=1 for 2, which frees it at t=2 for 3.
+  EXPECT_EQ(granted, (std::vector<SimTime>{0.0, 0.0, 1.0, 2.0}));
+  EXPECT_FALSE(res.busy());
+  EXPECT_EQ(res.waiters(), 0u);
+}
+
+TEST(FifoResource, FewerThanOneSlotThrows) {
+  Engine e;
+  EXPECT_THROW({ FifoResource r(e, 0); }, UsageError);
+  EXPECT_THROW({ FifoResource r(e, -1); }, UsageError);
+}
+
 }  // namespace
 }  // namespace xts

@@ -92,19 +92,19 @@ TEST(SampleSet, ExactPercentiles) {
 
 TEST(SampleSet, PercentileValidation) {
   SampleSet s;
-  EXPECT_THROW(s.percentile(0.5), UsageError);
+  EXPECT_THROW((void)s.percentile(0.5), UsageError);
   s.add(1.0);
-  EXPECT_THROW(s.percentile(-0.1), UsageError);
-  EXPECT_THROW(s.percentile(1.1), UsageError);
+  EXPECT_THROW((void)s.percentile(-0.1), UsageError);
+  EXPECT_THROW((void)s.percentile(1.1), UsageError);
   EXPECT_DOUBLE_EQ(s.percentile(0.5), 1.0);
 }
 
 TEST(SampleSet, PercentileEdgeCases) {
   SampleSet empty;
-  EXPECT_THROW(empty.percentile(0.0), UsageError);
-  EXPECT_THROW(empty.percentile(1.0), UsageError);
-  EXPECT_THROW(empty.min(), UsageError);
-  EXPECT_THROW(empty.max(), UsageError);
+  EXPECT_THROW((void)empty.percentile(0.0), UsageError);
+  EXPECT_THROW((void)empty.percentile(1.0), UsageError);
+  EXPECT_THROW((void)empty.min(), UsageError);
+  EXPECT_THROW((void)empty.max(), UsageError);
   EXPECT_EQ(empty.mean(), 0.0);  // mean of nothing is defined as 0
 
   SampleSet one;

@@ -276,6 +276,36 @@ TEST(FlowNetwork, SameInstantArrivalsCoalesceIntoOnePass) {
   EXPECT_LE(net.recompute_passes(), 4u);
 }
 
+// A min-share rate depends only on the loads of the flow's own links,
+// so a flow that shares no link with the others re-rates itself alone,
+// however many links its route has.
+TEST(FlowNetwork, AddingADisjointFlowReratesOnlyThatFlow) {
+  Engine e;
+  FlowNetwork net(e, Torus3D({16, 1, 1}), cfg());
+  auto xfer = [](Engine& eng, FlowNetwork& n, SimTime at, NodeId s,
+                 NodeId d) -> Task<void> {
+    co_await Delay(eng, at);
+    co_await n.transfer_flow(s, d, 100.0);  // outlives the probes
+  };
+  for (int i = 0; i < 3; ++i) {
+    spawn(e, xfer(e, net, 0.0, static_cast<NodeId>(2 * i),
+                  static_cast<NodeId>(2 * i + 1)));
+  }
+  std::uint64_t before = 0, after = 0;
+  auto probe = [](Engine& eng, FlowNetwork& n, SimTime at,
+                  std::uint64_t& out) -> Task<void> {
+    co_await Delay(eng, at);
+    out = n.rate_updates();
+  };
+  spawn(e, probe(e, net, 1.0, before));
+  // 8 -> 11: injection, three torus hops and ejection, all unused.
+  spawn(e, xfer(e, net, 1.0, 8, 11));
+  spawn(e, probe(e, net, 2.0, after));
+  e.run();
+  EXPECT_EQ(before, 3u);
+  EXPECT_EQ(after - before, 1u);
+}
+
 // Four identical flows on disjoint routes complete at the same
 // simulated instant and must resume in flow-slot order — submission
 // order here, since slots are allocated sequentially from an empty

@@ -15,7 +15,7 @@ TEST(Torus, ChooseDimsCoversRequest) {
     EXPECT_LE(d.x - d.z, 1);
     EXPECT_LE(d.y - d.z, 1);
   }
-  EXPECT_THROW(Torus3D::choose_dims(0), UsageError);
+  EXPECT_THROW((void)Torus3D::choose_dims(0), UsageError);
 }
 
 TEST(Torus, CoordRoundTrips) {
@@ -23,9 +23,9 @@ TEST(Torus, CoordRoundTrips) {
   for (NodeId id = 0; id < t.node_count(); ++id) {
     EXPECT_EQ(t.id_of(t.coord_of(id)), id);
   }
-  EXPECT_THROW(t.coord_of(-1), UsageError);
-  EXPECT_THROW(t.coord_of(t.node_count()), UsageError);
-  EXPECT_THROW(t.id_of(Coord{4, 0, 0}), UsageError);
+  EXPECT_THROW((void)t.coord_of(-1), UsageError);
+  EXPECT_THROW((void)t.coord_of(t.node_count()), UsageError);
+  EXPECT_THROW((void)t.id_of(Coord{4, 0, 0}), UsageError);
 }
 
 TEST(Torus, LinkIdsAreDistinct) {
@@ -116,7 +116,9 @@ TEST_P(TorusRouteProperty, AverageHopsBoundedByDiameter) {
       ++pairs;
     }
   }
-  if (pairs > 0) EXPECT_LE(total / pairs, static_cast<double>(diameter));
+  if (pairs > 0) {
+    EXPECT_LE(total / pairs, static_cast<double>(diameter));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TorusRouteProperty,

@@ -50,7 +50,7 @@ TEST(Metrics, HistogramMomentsAndPercentiles) {
   EXPECT_DOUBLE_EQ(h.max(), 100.0);
   EXPECT_DOUBLE_EQ(h.sum(), 5050.0);
   EXPECT_NEAR(h.percentile(0.95), 95.05, 1e-9);
-  EXPECT_THROW(reg.histogram("fresh").percentile(0.5), UsageError);
+  EXPECT_THROW((void)reg.histogram("fresh").percentile(0.5), UsageError);
 }
 
 TEST(Metrics, DeterministicIterationOrder) {

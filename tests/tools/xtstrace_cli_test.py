@@ -9,8 +9,10 @@ kind and that the tool exits nonzero (with a diagnostic) on unknown
 subcommands, missing files, malformed JSON, and files of the wrong
 kind.  A --cache-dir run then checks the cache subcommand: every entry
 the bench wrote parses as ok, a truncated entry reads as corrupt, an
-entry of another schema reads as stale, and an empty directory is an
-error.  The tool's CACHE_SCHEMA_VERSION must equal cache::kSchemaVersion.
+entry of another schema reads as stale, an intact entry copied to
+another key's file name reads as a corrupt key mismatch, and an empty
+directory is an error.  The tool's CACHE_SCHEMA_VERSION must equal
+cache::kSchemaVersion.
 """
 
 import os
@@ -131,8 +133,9 @@ def main():
             f.write(raw[:len(raw) - 1])
         expect("cache on truncated entry", run(xts + ["cache", store]), True,
                "%d ok, 0 stale, 1 corrupt" % (n - 1))
-        if n < 2:
-            sys.exit("bench wrote %d cache entry; the stale check needs 2" % n)
+        if n < 3:
+            sys.exit("bench wrote %d cache entries; the checks below need 3"
+                     % n)
         # Byte 8 is the low byte of the header's schema version.
         stale = os.path.join(store, entries[1])
         with open(stale, "r+b") as f:
@@ -140,6 +143,19 @@ def main():
             f.write(b"\xff")
         expect("cache on stale-schema entry", run(xts + ["cache", store]),
                True, "%d ok, 1 stale, 1 corrupt" % (n - 2))
+        # cache::Store reads an entry whose header key is not its file
+        # name as corrupt, so an intact copy under another name is too.
+        moved = os.path.join(store, "0" * 32 + ".xtsc")
+        if os.path.exists(moved):
+            sys.exit("bench wrote an entry named %s" % moved)
+        with open(os.path.join(store, entries[-1]), "rb") as f:
+            raw = f.read()
+        with open(moved, "wb") as f:
+            f.write(raw)
+        proc = run(xts + ["cache", store])
+        expect("cache on copied entry", proc, True,
+               "%d ok, 1 stale, 2 corrupt" % (n - 2))
+        expect("cache names the key mismatch", proc, True, "key mismatch")
         empty = os.path.join(tmp, "empty")
         os.mkdir(empty)
         expect("cache on empty dir", run(xts + ["cache", empty]), False)
